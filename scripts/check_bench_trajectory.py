@@ -68,10 +68,21 @@ E12_POOL_MICROS = r"^BM_(ItemPoolChurn|PoolBlockReclaim)/\d+$"
 # Registered report-only in PR 6 alongside the snapshot-cursor work: the
 # E6 pinned-read delay (enum.n<k>.e6_snapshot_read_ns from
 # bench_e6_enum_delay.cc — per-tuple delay draining a pinned snapshot
-# cursor after a write forked the pinned version off). The CI step pairs
-# this preset with --report-only; to promote, drop the flag once a
-# same-host committed baseline has ridden one PR.
+# cursor after a write forked the pinned version off). GATED together
+# with the fork cost below once the copy-on-write fork landed: the
+# read baseline had ridden report-only for many PRs.
 E6_SNAPSHOT_READ = r"\.e6_snapshot_read_ns$"
+
+# GATED from registration with the copy-on-write snapshot fork: the
+# first write under a pin (enum.n<k>.e6_snapshot_fork_update_ns — median
+# of nine pin -> write -> unpin cycles). It used to rebuild the whole
+# engine (0.6 ms at n=1k, 110 ms at n=64k); now it forks the block
+# directory and copies only the blocks the write touches (~10 us, flat
+# in n), so a regression back to an O(engine) fork shows as a 10-1000x
+# jump at every n. The CI step pairs the e6 preset with --max-regress
+# 0.5: a ~10 us single-write median carries more host noise than the e5
+# aggregates' 25% tolerance absorbs.
+E6_SNAPSHOT_FORK = r"\.e6_snapshot_fork_update_ns$"
 
 # Registered report-only in PR 7 with the serving layer
 # (bench/bench_e14_registry.cc) and PROMOTED to gated one PR later,
@@ -93,7 +104,7 @@ E14_REGISTRY = r"\.(ns_per_delta|ns_per_cmd)$"
 # constants above instead of duplicating regexes in ci.yml.
 GATE_PRESETS = {
     "e5": DEFAULT_GATE,
-    "e6": E6_SNAPSHOT_READ,
+    "e6": f"(?:{E6_SNAPSHOT_READ})|(?:{E6_SNAPSHOT_FORK})",
     "e12": (f"(?:{E12_RELATION_PROBE})|(?:{E12_STRUCTURE_MICROS})"
             f"|(?:{E12_POOL_MICROS})"),
     "e14": E14_REGISTRY,

@@ -324,6 +324,18 @@ class ChildIndex {
         NextRecord(reinterpret_cast<const std::uint64_t*>(e)));
   }
 
+  /// Copy-on-write support (ItemPool block copies): after a byte copy of
+  /// an index, both objects name the same heap table. Gives this one a
+  /// private copy of it. On bad_alloc nothing changes — this object
+  /// still names the shared table and must not be destroyed.
+  void UnshareHeap() {
+    if (slots_ == nullptr) return;
+    const std::size_t words = (mask_ + 1) * rec_words_;
+    std::uint64_t* fresh = Allocate(words);
+    std::memcpy(fresh, slots_, words * sizeof(std::uint64_t));
+    slots_ = fresh;
+  }
+
   /// Heap-table record count (0 while in inline mode). Test/telemetry
   /// hook for the shrink-on-low-load policy.
   std::size_t heap_capacity() const {

@@ -190,6 +190,9 @@ ComponentEngine::ComponentEngine(Query query, QTree tree,
       // same layout independently; pin them to each other.
       DYNCQ_CHECK(nm.run_rec_off + um.run_rec_size <=
                   pool_.block_size(static_cast<std::uint32_t>(n)));
+      pool_.SetRunSlots(static_cast<std::uint32_t>(n),
+                        nm.run_rec_off + um.run_slots_off,
+                        static_cast<std::size_t>(um.num_children));
     }
   }
   dirty_.resize(static_cast<std::size_t>(max_depth) + 1);
@@ -329,6 +332,9 @@ ComponentEngine::ComponentEngine(Query query, QTree tree,
 }
 
 ComponentEngine::~ComponentEngine() {
+  // Every version died before the engine (Engine tears its snapshot
+  // registry down first), so nothing needs copying any more.
+  pool_.SetCopyOnWrite(false, 0);
   root_index_.ForEach([this](Value, std::uint64_t bits) {
     FreeSubtree(pool_.Resolve(ItemHandle::FromBits(bits)));
   });
@@ -355,13 +361,18 @@ void ComponentEngine::FreeSubtree(Item* it) {
 // ---------------------------------------------------------------------------
 // Epoch-pinned snapshot fork (docs/ARCHITECTURE.md, "Snapshot cursors").
 //
-// A pin is O(1): it records the root fit-list anchors. Only when the
-// first post-pin write arrives does the engine pay for the version — it
-// detaches the entire forest (the pinned cursors keep walking those
-// blocks, links intact) and rebuilds the live structure by replaying the
-// component's base tuples. The two forests are then disjoint, so the
-// single writer and any number of pinned readers never touch the same
-// memory again.
+// A pin is O(1): it records the root fit-list anchors and sums and the
+// pool's live block directory, through which the pinned cursors resolve
+// every handle. The first post-pin write forks with one pool call: the
+// version keeps that directory, and the live side republishes a copy in
+// which every resident block is marked shared. From then on the writer
+// copies a shared block (slab plus its ChildSlot heap tables) before it
+// first mutates it and repoints only its live directory entry. Nothing is
+// replayed or re-probed; a write under a pin costs its ordinary descent
+// plus a few block copies, and the version's memory is never written.
+// Copied-away slabs are retired at the write's epoch and freed once the
+// oldest pinned epoch has moved past it; the version's directory array
+// dies with the version.
 // ---------------------------------------------------------------------------
 
 void ComponentEngine::CaptureSnapshot(ComponentSnapshot* out) const {
@@ -369,87 +380,8 @@ void ComponentEngine::CaptureSnapshot(ComponentSnapshot* out) const {
   out->root_tail = SlotTail(root_slot_);
   out->sum = root_slot_.sum;
   out->sum_free = root_slot_.sum_free;
-  out->detached.clear();
-}
-
-void ComponentEngine::CollectSubtree(const Item* it,
-                                     std::vector<ItemHandle>* out) const {
-  const NodeMeta& nm = node_meta_[it->node];
-  const QTreeNode& tn = tree_.node(static_cast<int>(it->node));
-  const ChildSlot* slots = reinterpret_cast<const ChildSlot*>(
-      reinterpret_cast<const char*>(it) + nm.slots_off);
-  for (int u = 0; u < nm.num_children; ++u) {
-    const int child = tn.children[static_cast<std::size_t>(u)];
-    if (node_meta_[static_cast<std::size_t>(child)].unit_leaf) continue;
-    slots[u].index.ForEach([this, out](Value, std::uint64_t bits) {
-      CollectSubtree(pool_.Resolve(ItemHandle::FromBits(bits)), out);
-    });
-  }
-  out->push_back(it->self);
-}
-
-void ComponentEngine::DetachAllItems(std::vector<ItemHandle>* out) {
-  out->clear();
-  // Collection is read-only and completes before any mutation, so a
-  // bad_alloc from the vector leaves the live structure untouched.
-  root_index_.ForEach([this, out](Value, std::uint64_t bits) {
-    CollectSubtree(pool_.Resolve(ItemHandle::FromBits(bits)), out);
-  });
-  // Point of no return — everything below is noexcept.
-  pool_.Detach(out->size());
-  root_index_.Clear();
-  root_slot_.head = 0;
-  root_slot_.tail = 0;
-  root_slot_.sum = 0;
-  root_slot_.sum_free = 0;
-}
-
-void ComponentEngine::RebuildFromDatabase(const Database& db) {
-  root_index_.Reserve(db.ActiveDomainSize());
-  for (const auto& [rel, atom_idxs] : atoms_of_rel_) {
-    (void)atom_idxs;
-    for (const Tuple& t : db.relation(rel)) ApplyDelta(rel, t, true);
-  }
-}
-
-void ComponentEngine::RestoreDetached(ComponentSnapshot& snap) {
-  // Free the partial rebuild (if any): the rebuild's items are exactly
-  // what the root index currently reaches.
-  root_index_.ForEach([this](Value, std::uint64_t bits) {
-    FreeSubtree(pool_.Resolve(ItemHandle::FromBits(bits)));
-  });
-  root_index_.Clear();
-  // Re-attach the detached forest. Roots are the items of the q-tree
-  // root node (the only node without a parent); their subtree links were
-  // never touched, so re-registering the roots restores everything.
-  for (ItemHandle h : snap.detached) {
-    const Item* it = pool_.Resolve(h);
-    if (tree_.node(static_cast<int>(it->node)).parent < 0) {
-      *root_index_.FindOrInsertSlot(it->value) = h.bits();
-    }
-  }
-  root_slot_.head = snap.root_head.bits();
-  root_slot_.tail = snap.root_tail.bits();
-  root_slot_.sum = snap.sum;
-  root_slot_.sum_free = snap.sum_free;
-  // A rebuild that died mid-flight may strand a just-allocated block
-  // outside every free list; its memory stays owned by the pool's
-  // blocks. Reset the live count to what the restored structure holds.
-  pool_.SetLiveItemsForRollback(snap.detached.size());
-  snap.detached.clear();
-}
-
-void ComponentEngine::RetireDetached(std::uint64_t epoch,
-                                     std::vector<ItemHandle>* items) {
-  // Run records own leaf index tables through ChildSlots the pool does
-  // not know about (they live behind the per-node slot array); release
-  // them here, mirroring FreeSubtree.
-  for (ItemHandle h : *items) {
-    Item* it = pool_.Resolve(h);
-    if (it->run_len != 0) DestroyRunSlots(it);
-  }
-  pool_.Retire(epoch, *items);
-  items->clear();
+  out->dir = pool_.directory();
+  out->dir_cap = 0;
 }
 
 Item* ComponentEngine::AllocItem(std::uint32_t n, std::size_t stripe) {

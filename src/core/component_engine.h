@@ -24,7 +24,6 @@
 #include "core/item_pool.h"
 #include "cq/qtree.h"
 #include "cq/query.h"
-#include "storage/database.h"
 #include "storage/tuple.h"
 #include "util/rel_map.h"
 #include "util/small_vector.h"
@@ -40,18 +39,19 @@ struct PendingDelta {
 };
 
 /// Captured per-component state of a pinned snapshot version (the core
-/// engine's snapshot payload). At pin time only the root fit-list
-/// head/tail and sums are recorded — O(1). When the first post-pin write
-/// arrives, the whole component forest is detached into `detached` (the
-/// items keep their fit-list and subtree links, so pinned cursors keep
-/// walking them with constant delay) and the live structure is rebuilt
-/// from the base tables.
+/// engine's snapshot payload). A pin records, in O(1), the root
+/// fit-list anchors and sums plus the pool's live block directory;
+/// pinned cursors resolve every handle through that directory. The
+/// first post-pin write forks: the version keeps the directory and the
+/// writer copies each shared block before mutating it (ItemPool, "copy-
+/// on-write snapshot versions"), so the version's items never change.
 struct ComponentSnapshot {
   ItemHandle root_head;  // root fit-list anchors at pin time
   ItemHandle root_tail;
   Weight sum = 0;       // Cstart at pin time (Boolean answer gate)
   Weight sum_free = 0;  // C̃start at pin time
-  std::vector<ItemHandle> detached;
+  const ItemPool::BlockRef* dir = nullptr;  // directory at pin time
+  std::size_t dir_cap = 0;  // non-zero once forked: the version owns dir
 };
 
 /// Structural tuning of the item forest. Both transformations are pure
@@ -219,41 +219,42 @@ class ComponentEngine {
   // ---- Epoch-pinned snapshot fork support (single writer; see
   // docs/ARCHITECTURE.md "Snapshot cursors"). ----
 
-  /// O(1) pin-time capture: records the root fit-list anchors and sums.
-  /// `out->detached` stays empty until the version is forked off.
+  /// O(1) pin-time capture: root fit-list anchors, sums and the live
+  /// block directory.
   void CaptureSnapshot(ComponentSnapshot* out) const;
 
-  /// Fork step 1: moves EVERY item of the live forest into `out` (the
-  /// items keep all their links — pinned cursors still walk them) and
-  /// resets the live structure to empty. Collection completes before any
-  /// mutation, so a bad_alloc from the vector leaves the engine intact.
-  void DetachAllItems(std::vector<ItemHandle>* out);
+  /// Forks the version off (writer thread, before the write mutates
+  /// anything): one pool call that hands `snap` its directory. No-op if
+  /// `snap` is already forked, so a fork that threw part-way across
+  /// components resumes on retry.
+  void ForkSnapshot(ComponentSnapshot* snap) {
+    if (snap->dir_cap == 0) snap->dir_cap = pool_.Fork(snap->dir);
+  }
 
-  /// Fork step 2: rebuilds the live structure by replaying this
-  /// component's base tuples from `db` (the PRE-update database — the
-  /// fork runs before the triggering delta is applied anywhere).
-  void RebuildFromDatabase(const Database& db);
+  /// Frees a dead version's directory, if it was forked. Any thread.
+  void ReleaseSnapshot(ComponentSnapshot* snap) {
+    if (snap->dir_cap != 0) {
+      pool_.ReleaseFrozenDirectory(snap->dir, snap->dir_cap);
+    }
+    snap->dir = nullptr;
+    snap->dir_cap = 0;
+  }
 
-  /// Fork rollback: frees whatever RebuildFromDatabase managed to build,
-  /// re-attaches `snap.detached` as the live structure, and restores the
-  /// root slot from the captured anchors.
-  void RestoreDetached(ComponentSnapshot& snap);
+  /// Copy-on-write switch for this write (see ItemPool::SetCopyOnWrite).
+  void SetCopyOnWrite(bool on, std::uint64_t epoch) {
+    pool_.SetCopyOnWrite(on, epoch);
+  }
 
-  /// Retires a dead version's detached items at `epoch` (releases index
-  /// heap tables now and bumps the slot generations — any later use of a
-  /// handle into the version is a typed stale-handle failure — then
-  /// queues the slots for post-watermark reclamation). Safe from a
-  /// reader thread concurrently with the writer.
-  void RetireDetached(std::uint64_t epoch, std::vector<ItemHandle>* items);
-
-  /// Returns retired blocks with epoch <= `watermark` to the free lists
-  /// (writer thread only).
+  /// Frees slabs copied away at epochs <= `watermark` (writer thread
+  /// only).
   void ReclaimRetired(std::uint64_t watermark) {
     pool_.ReclaimThrough(watermark);
   }
 
   bool has_retired() const { return pool_.has_retired(); }
-  std::size_t retired_blocks() const { return pool_.retired_blocks(); }
+  std::size_t retired_blocks(std::uint64_t watermark) const {
+    return pool_.retired_blocks(watermark);
+  }
 
  private:
   struct NodeMeta {
@@ -377,9 +378,6 @@ class ComponentEngine {
   };
 
   void FreeSubtree(Item* it);
-  /// FreeSubtree's read-only twin: appends every item of `it`'s subtree
-  /// (itself included) to `out` without touching the structure.
-  void CollectSubtree(const Item* it, std::vector<ItemHandle>* out) const;
   void ApplyDelta(RelId rel, const Tuple& t, bool insert);
   void ApplyAtomDelta(const AtomMeta& am, const Tuple& t, bool insert);
   bool MatchesAtom(const AtomMeta& am, const Tuple& t) const;

@@ -62,8 +62,10 @@ ComponentCursor::ComponentCursor(const ComponentEngine* ce,
 }
 
 ComponentCursor::ComponentCursor(FixedRootTag, const ComponentEngine* ce,
-                                 RevisionGuard guard, ItemHandle fixed_root)
+                                 RevisionGuard guard, ItemHandle fixed_root,
+                                 const ItemPool::BlockRef* dir)
     : ce_(ce),
+      dir_(dir),
       guard_(guard),
       root_begin_(fixed_root.bits()),
       root_end_(0),
@@ -86,7 +88,7 @@ const ChildSlot& ComponentCursor::SlotOf(std::size_t pos) const {
                                                meta.rec_slot_off[pos]);
   }
   return *reinterpret_cast<const ChildSlot*>(
-      reinterpret_cast<const char*>(ce_->pool().Resolve(PosItem(p))) +
+      reinterpret_cast<const char*>(Resolve(PosItem(p))) +
       meta.slot_off[pos]);
 }
 
@@ -95,7 +97,7 @@ std::uint64_t ComponentCursor::FirstOf(std::size_t pos) const {
   if (meta.absorbable[pos]) {
     // The parent of an absorbable position is always a materialized item
     // (heads are never absorbed themselves).
-    const Item* parent = ce_->pool().Resolve(
+    const Item* parent = Resolve(
         PosItem(cur_[static_cast<std::size_t>(meta.parent_pos[pos])]));
     if (parent->run_len != 0) {
       return RecTag(reinterpret_cast<const char*>(parent) +
@@ -125,7 +127,7 @@ std::uint64_t ComponentCursor::FirstOf(std::size_t pos) const {
 
 std::uint64_t ComponentCursor::NextOf(std::size_t pos) const {
   if (pos == 0) {
-    const ItemHandle next = ce_->pool().Resolve(PosItem(cur_[0]))->next;
+    const ItemHandle next = Resolve(PosItem(cur_[0]))->next;
     return next.bits() == root_end_ ? 0 : ItemPos(next);
   }
   const auto& meta = ce_->enum_meta();
@@ -142,7 +144,7 @@ std::uint64_t ComponentCursor::NextOf(std::size_t pos) const {
     }
     default:
       if (RecTagged(cur_[pos])) return 0;  // absorbed: single child
-      return ItemPos(ce_->pool().Resolve(PosItem(cur_[pos]))->next);
+      return ItemPos(Resolve(PosItem(cur_[pos]))->next);
   }
 }
 
@@ -159,7 +161,7 @@ void ComponentCursor::Emit(Tuple* out) const {
       out->push_back(*reinterpret_cast<const Value*>(
           RecUntag(cur_[p]) + ComponentEngine::kRunValueOff));
     } else {
-      out->push_back(ce_->pool().Resolve(PosItem(cur_[p]))->value);
+      out->push_back(Resolve(PosItem(cur_[p]))->value);
     }
   }
 }
@@ -167,6 +169,7 @@ void ComponentCursor::Emit(Tuple* out) const {
 CursorStatus ComponentCursor::Next(Tuple* out) {
   if (!guard_.valid()) return CursorStatus::kInvalidated;
   if (done_) return CursorStatus::kEnd;
+  step_dir_ = dir_ != nullptr ? dir_ : ce_->pool().directory();
 
   if (!started_) {
     started_ = true;

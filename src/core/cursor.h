@@ -36,22 +36,32 @@ class ComponentCursor final : public Cursor {
 
   /// Pinned-snapshot variant: enumerates exactly the fit list anchored at
   /// `fixed_root` (which may be null — an empty pinned result — and is
-  /// never re-read from the live root slot). The guard should be the
-  /// never-invalidating default for snapshot use.
+  /// never re-read from the live root slot), resolving every handle
+  /// through the version's block directory `dir`. The guard should be
+  /// the never-invalidating default for snapshot use.
   struct FixedRootTag {};
   ComponentCursor(FixedRootTag, const ComponentEngine* ce,
-                  RevisionGuard guard, ItemHandle fixed_root);
+                  RevisionGuard guard, ItemHandle fixed_root,
+                  const ItemPool::BlockRef* dir);
 
   CursorStatus Next(Tuple* out) override;
   CursorStatus Reset() override;
 
  private:
+  const Item* Resolve(ItemHandle h) const {
+    return ItemPool::ResolveIn(step_dir_, h);
+  }
   const ChildSlot& SlotOf(std::size_t pos) const;
   std::uint64_t FirstOf(std::size_t pos) const;
   std::uint64_t NextOf(std::size_t pos) const;
   void Emit(Tuple* out) const;
 
   const ComponentEngine* ce_;
+  // Pinned snapshots: the version's directory; null = the live one.
+  const ItemPool::BlockRef* dir_ = nullptr;
+  // The directory this Next() resolves through: dir_, or the live one
+  // loaded once per step (the writer cannot move it mid-step).
+  const ItemPool::BlockRef* step_dir_ = nullptr;
   RevisionGuard guard_;
   std::uint64_t root_begin_;  // handle bits; 0 = live head (unless fixed)
   std::uint64_t root_end_;    // handle bits, exclusive; 0 = to the end

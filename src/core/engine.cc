@@ -77,26 +77,29 @@ class Engine::ShardPool {
 };
 
 // A pinned structural version: per component, the root fit-list anchors
-// captured at pin time and (once the first post-pin write forked the
-// version off) the detached item forest the pinned cursors keep walking.
-// Every destruction path runs under the engine's snapshot mutex (registry
-// erasure, cursor unregistration, teardown), so Release's bookkeeping
-// needs no lock of its own.
+// and the block directory captured at pin time (which the version owns
+// once the first post-pin write forked it off). Every destruction path
+// runs under the engine's snapshot mutex (registry erasure, cursor
+// unregistration, teardown), so Release's bookkeeping needs no lock of
+// its own.
 class Engine::CoreVersion final : public EngineSnapshot {
  public:
-  CoreVersion(Engine* engine, std::uint64_t epoch)
-      : engine_(engine), epoch_(epoch), comps_(engine->components_.size()) {}
+  explicit CoreVersion(Engine* engine)
+      : engine_(engine), comps_(engine->components_.size()) {}
 
   ~CoreVersion() override { Release(); }
 
-  // Engine teardown with snapshot cursors still open: retire the
-  // detached forests while the components (and their pools) are alive;
-  // the eventual destructor is then engine-independent. Called by
+  // Engine teardown with snapshot cursors still open: free the
+  // directories while the components (and their pools) are alive; the
+  // eventual destructor is then engine-independent. Called by
   // ClearSnapshotRegistry under snap_mu_.
   void OnEngineTeardown() override { Release(); }
 
   std::vector<ComponentSnapshot>& comps() { return comps_; }
   const std::vector<ComponentSnapshot>& comps() const { return comps_; }
+
+  /// Called by ForkIfPinned under snap_mu_ once every component forked.
+  void MarkForked() { forked_ = true; }
 
  private:
   void Release() {
@@ -113,16 +116,19 @@ class Engine::CoreVersion final : public EngineSnapshot {
       engine_->fork_armed_.store(false, std::memory_order_release);
     }
     for (std::size_t c = 0; c < comps_.size(); ++c) {
-      if (!comps_[c].detached.empty()) {
-        engine_->components_[c]->RetireDetached(epoch_, &comps_[c].detached);
-      }
+      engine_->components_[c]->ReleaseSnapshot(&comps_[c]);
+    }
+    // The copies this version forced stay retired until the writer's
+    // watermark passes them; the next write sees one fewer version.
+    if (forked_) {
+      engine_->live_versions_.fetch_sub(1, std::memory_order_release);
     }
     engine_ = nullptr;
   }
 
   Engine* engine_;
-  const std::uint64_t epoch_;
   std::vector<ComponentSnapshot> comps_;
+  bool forked_ = false;
 };
 
 Engine::Engine(Query q, Database* shared) : query_(std::move(q)) {
@@ -135,9 +141,8 @@ Engine::Engine(Query q, Database* shared) : query_(std::move(q)) {
 }
 
 Engine::~Engine() {
-  // Destroy registered versions while the components are alive: detached
-  // forests hold heap-grown child-index tables only their ChildSlot
-  // destructors release (the pool frees raw chunks, nothing else).
+  // Destroy registered versions while the components are alive: their
+  // directory arrays are freed through the component pools.
   ClearSnapshotRegistry();
 }
 
@@ -249,14 +254,23 @@ void Engine::SyncFromStorage() {
   std::vector<std::pair<RelId, Tuple>> base;
   // Only this query's relations — the shared database may hold many
   // foreign ones (the query's schema is a prefix of the database's, so
-  // every subscribed RelId is valid there).
+  // every subscribed RelId is valid there). Each component's root
+  // fanout is bounded by the tuples of its own relations (every atom
+  // holds the root variable), so that count sizes its root index:
+  // O(engine), where Database::ActiveDomainSize would recount the whole
+  // shared database after any write.
+  std::vector<std::size_t> comp_tuples(components_.size(), 0);
   for (const auto& [r, comps] : comps_of_rel_) {
-    (void)comps;
+    const std::size_t before = base.size();
     for (const Tuple& t : db_->relation(r)) base.emplace_back(r, t);
+    for (int c : comps) {
+      comp_tuples[static_cast<std::size_t>(c)] += base.size() - before;
+    }
   }
   if (base.empty()) return;
-  for (const auto& c : components_) {
-    c->ReserveRoot(db_->ActiveDomainSize());
+  PrepareWrite();  // a version pinned on the empty structure forks here
+  for (std::size_t c = 0; c < components_.size(); ++c) {
+    components_[c]->ReserveRoot(comp_tuples[c]);
   }
   pending_.clear();
   pending_.reserve(base.size());
@@ -270,8 +284,18 @@ void Engine::SyncFromStorage() {
   pending_.clear();  // drop dangling borrows of `base`
 }
 
-void Engine::PrepareSharedWrite() {
+void Engine::PrepareWrite() {
   ForkIfPinned();
+  // The one read per write of "is any version alive". Only a live
+  // version needs copy-on-write; when the last one has died, turning it
+  // off is O(components) — the pools' stale shared marks are ignored.
+  const bool cow = live_versions_.load(std::memory_order_acquire) != 0;
+  if (cow || cow_on_) {
+    for (const auto& c : components_) {
+      c->SetCopyOnWrite(cow, revision().value);
+    }
+    cow_on_ = cow;
+  }
   MaybeReclaimRetired();
 }
 
@@ -303,36 +327,17 @@ void Engine::ForkIfPinned() {
   util::MutexLock lock(&snap_mu_);
   CoreVersion* v = armed_version_;
   if (v == nullptr) return;  // the armed version died since the gate
-  // Freeze the version: detach each component's forest into it (item
-  // links untouched — pinned cursors keep walking them) and rebuild the
-  // live structure by replaying the component's base tuples. db_ is
-  // still pre-update here, so the rebuild is exactly the pinned state.
+  // Freeze the version: each component's pool hands it the directory
+  // it recorded at pin time and republishes a copy with every block
+  // marked shared. Each step allocates before it publishes, so a thrown
+  // bad_alloc leaves the version armed; components forked before the
+  // failure are skipped when the next write retries.
   std::vector<ComponentSnapshot>& comps = v->comps();
-  std::size_t done = 0;
-  bool detached_current = false;
-  try {
-    for (; done < components_.size(); ++done) {
-      detached_current = false;
-      components_[done]->DetachAllItems(&comps[done].detached);
-      detached_current = true;
-      components_[done]->RebuildFromDatabase(*db_);
-    }
-  } catch (...) {
-    // Roll back to the pre-fork state: free partial rebuilds, re-attach
-    // the detached forests. The version stays armed — a retry after the
-    // allocation pressure clears forks again.
-    if (done < components_.size()) {
-      if (detached_current) {
-        components_[done]->RestoreDetached(comps[done]);
-      } else {
-        comps[done].detached.clear();  // collection died; nothing mutated
-      }
-    }
-    for (std::size_t c = 0; c < done; ++c) {
-      components_[c]->RestoreDetached(comps[c]);
-    }
-    throw;
+  for (std::size_t c = 0; c < components_.size(); ++c) {
+    components_[c]->ForkSnapshot(&comps[c]);
   }
+  v->MarkForked();
+  live_versions_.fetch_add(1, std::memory_order_relaxed);
   armed_version_ = nullptr;
   fork_armed_.store(false, std::memory_order_release);
 }
@@ -346,16 +351,20 @@ void Engine::MaybeReclaimRetired() {
     }
   }
   if (!any) return;
-  // Retired forests belong exclusively to dead versions, so the
-  // conservative watermark is ordering hygiene rather than a correctness
-  // need: nothing at or past the oldest registered epoch is reclaimed
-  // while that epoch could be re-pinned (a spurious fork can leave a
-  // frozen version sharing the current epoch).
+  std::uint64_t wm = 0;
+  if (!ReclaimWatermark(&wm)) return;
+  for (const auto& c : components_) c->ReclaimRetired(wm);
+}
+
+bool Engine::ReclaimWatermark(std::uint64_t* wm) const {
+  // A slab copied away during the write from epoch e may still be read
+  // by every version pinned at an epoch <= e, so it is freed only once
+  // the oldest registered epoch is past e.
   constexpr std::uint64_t kNone = ~std::uint64_t{0};
   const std::uint64_t oldest = OldestPinnedEpoch();  // takes the mutex
-  if (oldest == 0) return;  // an epoch-0 version exists; nothing is older
-  const std::uint64_t wm = oldest == kNone ? kNone : oldest - 1;
-  for (const auto& c : components_) c->ReclaimRetired(wm);
+  if (oldest == 0) return false;  // an epoch-0 version exists
+  *wm = oldest == kNone ? kNone : oldest - 1;
+  return true;
 }
 
 void Engine::ReclaimAllRetired() {
@@ -365,8 +374,10 @@ void Engine::ReclaimAllRetired() {
 }
 
 std::size_t Engine::RetiredBlocks() const {
+  std::uint64_t wm = 0;
+  if (!ReclaimWatermark(&wm)) return 0;
   std::size_t n = 0;
-  for (const auto& c : components_) n += c->retired_blocks();
+  for (const auto& c : components_) n += c->retired_blocks(wm);
   return n;
 }
 
@@ -387,7 +398,7 @@ Result<std::shared_ptr<EngineSnapshot>> Engine::CaptureSnapshot() {
   // died (disarming); and a re-pin of a registered epoch never reaches
   // CaptureSnapshot.
   DYNCQ_CHECK(armed_version_ == nullptr);
-  auto v = std::make_shared<CoreVersion>(this, revision().value);
+  auto v = std::make_shared<CoreVersion>(this);
   for (std::size_t c = 0; c < components_.size(); ++c) {
     components_[c]->CaptureSnapshot(&v->comps()[c]);
   }
@@ -404,13 +415,13 @@ Result<std::unique_ptr<Cursor>> Engine::MakeSnapshotCursor(
     return R::Error("MakeSnapshotCursor: unrecognized snapshot payload");
   }
   const std::vector<ComponentSnapshot>& comps = v->comps();
-  // Default-constructed guards: pinned cursors never invalidate — writes
-  // fork the version out from under them instead of moving it. Boolean
-  // components gate on the sum captured at pin time.
+  // Default-constructed guards: pinned cursors never invalidate — they
+  // resolve through the version's directory, which writes never touch.
+  // Boolean components gate on the sum captured at pin time.
   if (components_.size() == 1 && !components_[0]->query().head().empty()) {
     std::unique_ptr<Cursor> c = std::make_unique<ComponentCursor>(
         ComponentCursor::FixedRootTag{}, components_[0].get(),
-        RevisionGuard{}, comps[0].root_head);
+        RevisionGuard{}, comps[0].root_head, comps[0].dir);
     return R(std::move(c));
   }
   std::vector<std::unique_ptr<Cursor>> subs;
@@ -422,7 +433,7 @@ Result<std::unique_ptr<Cursor>> Engine::MakeSnapshotCursor(
     } else {
       subs.push_back(std::make_unique<ComponentCursor>(
           ComponentCursor::FixedRootTag{}, components_[c].get(),
-          RevisionGuard{}, comps[c].root_head));
+          RevisionGuard{}, comps[c].root_head, comps[c].dir));
     }
   }
   std::unique_ptr<Cursor> p =
@@ -434,10 +445,9 @@ bool Engine::Apply(const UpdateCmd& cmd) {
   DYNCQ_CHECK_MSG(owned_db_ != nullptr,
                   "Apply: shared-storage engines are fed through their "
                   "registry's write protocol");
-  // Pinned version bookkeeping first: the fork must see the pre-update
-  // database, and reclamation piggybacks on the write path.
-  ForkIfPinned();
-  MaybeReclaimRetired();
+  // Pinned version bookkeeping first: the fork must precede every
+  // mutation, and reclamation piggybacks on the write path.
+  PrepareWrite();
   // Latency pipeline: the update walk's dependent cache accesses (root
   // item, then deeper items) are requested in stages that overlap the
   // database's own hash work, so serial misses become parallel ones.
@@ -466,8 +476,7 @@ std::size_t Engine::ApplyBatch(std::span<const UpdateCmd> cmds,
   DYNCQ_CHECK_MSG(owned_db_ != nullptr,
                   "ApplyBatch: shared-storage engines are fed through their "
                   "registry's write protocol");
-  ForkIfPinned();  // before the db applies — the fork replays the pre-batch db
-  MaybeReclaimRetired();
+  PrepareWrite();  // fork, copy-on-write switch and reclaim, before any mutation
   pending_.clear();
   pending_.reserve(cmds.size());
   constexpr std::size_t kLookahead = 8;
@@ -498,7 +507,9 @@ std::size_t Engine::ApplyBatch(std::span<const UpdateCmd> cmds,
   BumpRevision();
   // Every component sees the full effective list; deltas whose relation
   // has no atom in a component are skipped inside its per-atom routing.
-  const std::size_t k = opts.shards;
+  // While a version is alive the batch takes one stripe: two shard
+  // workers could otherwise race to copy the same shared block.
+  const std::size_t k = cow_on_ ? 1 : opts.shards;
   if (k <= 1) {
     for (const auto& c : components_) {
       c->ApplyBatch(pending_.data(), pending_.size());

@@ -77,9 +77,11 @@ class Engine final : public DynamicQueryEngine {
     // §6.3: root positions are independent per root item, so any
     // component with free variables can be range-partitioned.
     caps.partitionable = has_free_component_;
-    // Pins are O(1) root-anchor captures; the first post-pin write forks
-    // the pinned version off and pinned cursors keep walking it with
-    // constant delay (docs/ARCHITECTURE.md, "Snapshot cursors").
+    // Pins are O(1) root-anchor + directory captures; the first post-pin
+    // write forks the pinned version off in O(blocks) and later writes
+    // copy only the blocks they touch, while pinned cursors keep walking
+    // the version with constant delay (docs/ARCHITECTURE.md, "Snapshot
+    // cursors").
     caps.snapshot_enumeration = true;
     return caps;
   }
@@ -95,7 +97,8 @@ class Engine final : public DynamicQueryEngine {
   /// phase-A descents are routed by root value onto `k` worker threads
   /// with a merge-free per-shard phase B (see ComponentEngine's sharded
   /// protocol) — equivalent final state, thread-count-dependent fit-list
-  /// order.
+  /// order. While a pinned version is alive the batch runs on one
+  /// stripe whatever `opts.shards` says (copy-on-write is single-writer).
   std::size_t ApplyBatch(std::span<const UpdateCmd> cmds,
                          const BatchOptions& opts) override;
   std::size_t ApplyBatch(std::span<const UpdateCmd> cmds) override {
@@ -115,9 +118,9 @@ class Engine final : public DynamicQueryEngine {
   // The owner of the shared Database applies each update once and drives
   // every affected engine through these three calls, in this order:
   //
-  //   1. PrepareSharedWrite()   on each affected engine — BEFORE the
-  //      database mutates (a pinned snapshot forks by rebuilding from
-  //      the pre-update database);
+  //   1. PrepareSharedWrite()   on each affected engine — BEFORE any
+  //      of them mutates (a pinned snapshot forks off the pre-update
+  //      structure);
   //   2. the one Database::Apply;
   //   3. ApplySharedDelta / ApplySharedDeltas on each affected engine
   //      with the effective deltas (no-ops filtered by step 2).
@@ -125,9 +128,9 @@ class Engine final : public DynamicQueryEngine {
   // The tuples PendingDelta borrows must outlive the call.
 
   /// Pinned-version bookkeeping that must precede a mutation of the
-  /// shared database: fork any armed snapshot off the pre-update state
-  /// and reclaim retired blocks.
-  void PrepareSharedWrite();
+  /// shared database: fork any armed snapshot off the pre-update state,
+  /// switch copy-on-write for this write and reclaim retired blocks.
+  void PrepareSharedWrite() { PrepareWrite(); }
 
   /// Routes one effective delta to the affected components (the
   /// single-update path of §6.2: O(1) for q-hierarchical queries).
@@ -170,7 +173,8 @@ class Engine final : public DynamicQueryEngine {
   /// Figure 3-style dump of every component's structure.
   void DumpStructure(std::ostream& os) const;
 
-  /// Item blocks sitting in retire lists awaiting reclamation
+  /// Copied-away item slabs that no registered version can read any
+  /// more, awaiting reclamation by the next write or DropAllSnapshots
   /// (test/telemetry hook; see ItemPool::retired_blocks).
   std::size_t RetiredBlocks() const;
 
@@ -189,8 +193,9 @@ class Engine final : public DynamicQueryEngine {
   /// capability with snap_mu_.AssertHeld().)
   [[nodiscard]] Result<std::shared_ptr<EngineSnapshot>> CaptureSnapshot() override;
 
-  /// Builds constant-delay cursors over a pinned version's (possibly
-  /// detached) root fit lists. Invoked outside the snapshot mutex.
+  /// Builds constant-delay cursors over a pinned version's root fit
+  /// lists, resolving through the version's block directories. Invoked
+  /// outside the snapshot mutex.
   [[nodiscard]] Result<std::unique_ptr<Cursor>> MakeSnapshotCursor(
       const std::shared_ptr<EngineSnapshot>& snap) override;
 
@@ -208,21 +213,30 @@ class Engine final : public DynamicQueryEngine {
 
   /// The engine's snapshot payload: one ComponentSnapshot per component.
   /// Defined in engine.cc; befriended so it can disarm the fork flag and
-  /// retire its detached forests on death.
+  /// release its directories on death.
   class CoreVersion;
   friend class CoreVersion;
 
-  /// Freezes the armed pinned version (if any) by detaching every
-  /// component's forest into it and rebuilding the live structures from
-  /// the pre-update database. Runs at the top of Apply/ApplyBatch,
-  /// BEFORE the database mutates. Strong exception safety: a thrown
-  /// bad_alloc rolls the detached forests back and rethrows, leaving
-  /// both the structure and the pinned version intact.
+  /// The write prologue of Apply / ApplyBatch / PrepareSharedWrite /
+  /// SyncFromStorage: ForkIfPinned, then the once-per-write "is any
+  /// version alive" read that switches the pools' copy-on-write, then
+  /// MaybeReclaimRetired.
+  void PrepareWrite();
+
+  /// Freezes the armed pinned version (if any): each component's pool
+  /// hands the version the directory it recorded at pin time and
+  /// republishes a copy with every block marked shared (ItemPool::Fork).
+  /// Runs before the write mutates anything. A thrown bad_alloc leaves
+  /// the structure untouched and the version armed for a retry.
   void ForkIfPinned();
 
-  /// Returns retired blocks older than the oldest pinned epoch to the
-  /// pool free lists (write path, writer thread only).
+  /// Frees retired slabs older than the oldest pinned epoch (write
+  /// path, writer thread only).
   void MaybeReclaimRetired();
+
+  /// Slabs retired at an epoch <= *wm are readable by no registered
+  /// version. False if none is safe to free (an epoch-0 version lives).
+  bool ReclaimWatermark(std::uint64_t* wm) const;
 
   /// Persistent shard workers: parked between batches so a sharded
   /// ApplyBatch pays a wakeup, not k thread spawns. Lazily started by
@@ -261,6 +275,13 @@ class Engine final : public DynamicQueryEngine {
   // before dereferencing a pointer a reader thread may disarm.
   std::atomic<bool> fork_armed_{false};
   CoreVersion* armed_version_ DYNCQ_GUARDED_BY(snap_mu_) = nullptr;
+  // Forked versions still alive. Incremented by the writer's fork and
+  // decremented by a version's death on any thread (both under
+  // snap_mu_), but read lock-free once per write: a stale non-zero only
+  // keeps copy-on-write on for one more write.
+  std::atomic<std::size_t> live_versions_{0};
+  // Writer-thread-only: copy-on-write was on for the last write.
+  bool cow_on_ = false;
   // Writer-thread-only (set transiently inside a sharded ApplyBatch;
   // pins are externally synchronized with writes, so CaptureSnapshot —
   // which runs under snap_mu_ on the writer's call stack — reads it

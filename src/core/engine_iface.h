@@ -351,9 +351,10 @@ class DynamicQueryEngine {
   /// engines, their fork bookkeeping (core::Engine::armed_version_).
   /// Lock hierarchy (util/lock_rank.h): snap_mu_ nests inside a serving
   /// registry's mu_ and may be held while taking an ItemPool's
-  /// retire_mu_ (version death retires its forest), never the reverse
-  /// — the rank-token edges make -Wthread-safety-beta check both
-  /// directions; see docs/ARCHITECTURE.md, "Concurrency contracts".
+  /// retire_mu_ (DropAllSnapshots reclaims retired slabs), never the
+  /// reverse — the rank-token edges make -Wthread-safety-beta check
+  /// both directions; see docs/ARCHITECTURE.md, "Concurrency
+  /// contracts".
   mutable util::Mutex snap_mu_
       DYNCQ_ACQUIRED_AFTER(util::lock_rank::kBelowRegistry)
           DYNCQ_ACQUIRED_BEFORE(util::lock_rank::kBelowEngineSnap);

@@ -19,6 +19,7 @@ ItemPool::ItemPool(std::vector<std::size_t> num_children,
               extra_bytes.size() == num_atoms_.size());
   slot_size_.resize(num_children_.size());
   size_class_.resize(num_children_.size());
+  run_slots_.resize(num_children_.size());
   std::uint32_t max_cls = 0;
   for (std::size_t n = 0; n < num_children_.size(); ++n) {
     std::size_t sz = ItemSlotsOffset(num_atoms_[n]) +
@@ -45,6 +46,9 @@ ItemPool::ItemPool(std::vector<std::size_t> num_children,
 }
 
 ItemPool::~ItemPool() {
+  // Retired slabs still own their child-slot tables; live slabs' tables
+  // belong to the items the owner frees before the pool dies.
+  ReclaimThrough(~std::uint64_t{0});
   util::MutexLock lock(&dir_mu_);
   BlockRef* dir = dir_.load(std::memory_order_relaxed);
   const std::uint32_t end = next_bid_.load(std::memory_order_relaxed);
@@ -77,15 +81,137 @@ void ItemPool::GrowDirectory(std::uint32_t bid) {
   BlockRef* old = dir_.load(std::memory_order_relaxed);
   if (old != nullptr) {
     std::memcpy(fresh, old, dir_cap_ * sizeof(BlockRef));
-    // Retired copies stay alive until destruction: a reader that loaded
-    // the old array may still be resolving through it.
+    // Grown-out copies stay alive until destruction: a shard worker
+    // that loaded the old array may still be resolving through it.
     old_dirs_.push_back(old);
+    old_dir_bytes_ += dir_cap_ * sizeof(BlockRef);
   }
   dir_.store(fresh, std::memory_order_release);
   dir_cap_ = cap;
 }
 
+std::size_t ItemPool::Fork(const BlockRef* frozen) {
+  util::MutexLock lock(&dir_mu_);
+  BlockRef* live = dir_.load(std::memory_order_relaxed);
+  DYNCQ_CHECK_MSG(live == frozen,
+                  "ItemPool::Fork: the pinned directory is no longer live "
+                  "(a write ran without forking the pinned version)");
+  const std::size_t bytes = dir_cap_ * sizeof(BlockRef);
+  DYNCQ_ALLOC_FAILPOINT();
+  auto* fresh = static_cast<BlockRef*>(::operator new(bytes));
+  std::memcpy(fresh, live, bytes);
+  // Every resident block is shared with the version. No header is
+  // read: a block that turns out empty is just unmarked by CopyBlock.
+  for (std::size_t bid = 0; bid < dir_cap_; ++bid) {
+    fresh[bid].shared = fresh[bid].items != nullptr ? 1 : 0;
+  }
+  dir_.store(fresh, std::memory_order_release);
+  frozen_dir_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+  return dir_cap_;
+}
+
+void ItemPool::ReleaseFrozenDirectory(const BlockRef* frozen,
+                                      std::size_t cap) {
+  frozen_dir_bytes_.fetch_sub(cap * sizeof(BlockRef),
+                              std::memory_order_relaxed);
+  ::operator delete(const_cast<BlockRef*>(frozen));
+}
+
+template <typename Fn>
+void ItemPool::ForEachSlabChildSlot(BlockHdr* hdr, Fn&& fn) {
+  const std::uint32_t n = hdr->node;
+  char* items = reinterpret_cast<char*>(hdr) + kHdrBytes;
+  const std::size_t slots_off = ItemSlotsOffset(num_atoms_[n]);
+  std::size_t i = 0;
+  while (i < kItemsPerBlock) {
+    if (hdr->skip[i] != 0) {
+      i += hdr->skip[i];
+      continue;
+    }
+    char* it = items + i * slot_size_[n];
+    auto* slots = reinterpret_cast<ChildSlot*>(it + slots_off);
+    for (std::size_t c = 0; c < num_children_[n]; ++c) fn(slots[c]);
+    if (reinterpret_cast<Item*>(it)->run_len != 0) {
+      auto* run = reinterpret_cast<ChildSlot*>(it + run_slots_[n].offset);
+      for (std::size_t c = 0; c < run_slots_[n].count; ++c) fn(run[c]);
+    }
+    ++i;
+  }
+}
+
+void ItemPool::CopyBlock(BlockRef& r) {
+  BlockHdr* old_hdr = HdrOf(r);
+  if (old_hdr->occupied == 0) {
+    // Nothing in an empty block is reachable from a version.
+    r.shared = 0;
+    return;
+  }
+  const std::size_t bytes = SlabBytes(r.size_class);
+  char* old_slab = r.items - kHdrBytes;
+  DYNCQ_ALLOC_FAILPOINT();
+  char* slab = static_cast<char*>(::operator new(bytes));
+  std::memcpy(slab, old_slab, bytes);
+  // The byte copy aliases every heap table of the old slab; give the
+  // copy its own. On failure, destroy the copies made so far (the
+  // tables not yet unshared still belong to the old slab) and leave
+  // the entry untouched.
+  auto* hdr = reinterpret_cast<BlockHdr*>(slab);
+  std::size_t unshared = 0;
+  try {
+    ForEachSlabChildSlot(hdr, [&](ChildSlot& cs) {
+      cs.index.UnshareHeap();
+      ++unshared;
+    });
+    util::MutexLock lock(&retire_mu_);
+    retired_.push_back(RetiredSlab{cow_epoch_, old_slab});
+    has_retired_.store(true, std::memory_order_relaxed);
+  } catch (...) {
+    ForEachSlabChildSlot(hdr, [&](ChildSlot& cs) {
+      if (unshared == 0) return;
+      --unshared;
+      cs.~ChildSlot();
+    });
+    ::operator delete(slab);
+    throw;
+  }
+  r.items = slab + kHdrBytes;
+  r.shared = 0;
+  ++cow_copied_;
+  util::MutexLock lock(&dir_mu_);
+  slab_bytes_ += bytes;
+}
+
+void ItemPool::FreeRetiredSlab(char* slab) {
+  auto* hdr = reinterpret_cast<BlockHdr*>(slab);
+  ForEachSlabChildSlot(hdr, [](ChildSlot& cs) { cs.~ChildSlot(); });
+  const std::size_t bytes = SlabBytes(size_class_[hdr->node]);
+  ::operator delete(slab);
+  util::MutexLock lock(&dir_mu_);
+  slab_bytes_ -= bytes;
+}
+
 std::uint32_t ItemPool::AcquireBlock(std::uint32_t n, std::size_t stripe) {
+  const std::uint32_t bid = TakeBlock(n);
+  // (Re)initialize for (n, stripe): one all-free run covering the block.
+  // Outside dir_mu_: linking may copy the old partial head.
+  const BlockRef& r = RefOf(bid);
+  BlockHdr* hdr = HdrOf(r);
+  hdr->node = n;
+  hdr->stripe = static_cast<std::uint32_t>(stripe);
+  hdr->occupied = 0;
+  std::memset(hdr->skip, 0, sizeof(hdr->skip));
+  hdr->skip[0] = static_cast<std::uint8_t>(kItemsPerBlock);
+  hdr->skip[kItemsPerBlock - 1] = static_cast<std::uint8_t>(kItemsPerBlock);
+  hdr->free_run_head = 0;
+  FreeRun* run = RunAt(r, 0);
+  run->next = -1;
+  run->prev = -1;
+  hdr->in_partial = 0;
+  LinkPartial(stripes_[stripe], n, bid);
+  return bid;
+}
+
+std::uint32_t ItemPool::TakeBlock(std::uint32_t n) {
   util::MutexLock lock(&dir_mu_);
   const std::uint32_t cls = size_class_[n];
   std::uint32_t bid = 0;
@@ -94,8 +220,10 @@ std::uint32_t ItemPool::AcquireBlock(std::uint32_t n, std::size_t stripe) {
     reuse_[cls].pop_back();
     // Repurpose within the size class: the pitch may change, the slot
     // generations are preserved (monotonic for the slab's lifetime).
-    dir_.load(std::memory_order_relaxed)[bid].pitch =
-        static_cast<std::uint32_t>(slot_size_[n]);
+    // An emptied block holds nothing a version reads, so it is private.
+    BlockRef& e = dir_.load(std::memory_order_relaxed)[bid];
+    e.pitch = static_cast<std::uint32_t>(slot_size_[n]);
+    e.shared = 0;
   } else {
     DYNCQ_ALLOC_FAILPOINT();
     const std::uint32_t want =
@@ -120,26 +248,12 @@ std::uint32_t ItemPool::AcquireBlock(std::uint32_t n, std::size_t stripe) {
     slab_bytes_ += kHdrBytes + payload;
     BlockHdr* hdr = new (slab) BlockHdr();
     hdr->id = bid;
-    BlockRef* dir = dir_.load(std::memory_order_relaxed);
-    dir[bid].pitch = static_cast<std::uint32_t>(slot_size_[n]);
-    dir[bid].size_class = cls;
-    dir[bid].items = slab + kHdrBytes;
+    BlockRef& e = dir_.load(std::memory_order_relaxed)[bid];
+    e.pitch = static_cast<std::uint32_t>(slot_size_[n]);
+    e.size_class = static_cast<std::uint16_t>(cls);
+    e.shared = 0;
+    e.items = slab + kHdrBytes;
   }
-  // (Re)initialize for (n, stripe): one all-free run covering the block.
-  const BlockRef& r = RefOf(bid);
-  BlockHdr* hdr = HdrOf(r);
-  hdr->node = n;
-  hdr->stripe = static_cast<std::uint32_t>(stripe);
-  hdr->occupied = 0;
-  std::memset(hdr->skip, 0, sizeof(hdr->skip));
-  hdr->skip[0] = static_cast<std::uint8_t>(kItemsPerBlock);
-  hdr->skip[kItemsPerBlock - 1] = static_cast<std::uint8_t>(kItemsPerBlock);
-  hdr->free_run_head = 0;
-  FreeRun* run = RunAt(r, 0);
-  run->next = -1;
-  run->prev = -1;
-  hdr->in_partial = 0;
-  LinkPartial(stripes_[stripe], n, bid);
   return bid;
 }
 
@@ -148,6 +262,10 @@ void ItemPool::ReleaseBlock(std::uint32_t bid) {
   BlockRef* dir = dir_.load(std::memory_order_relaxed);
   BlockHdr* hdr = HdrOf(dir[bid]);
   DYNCQ_DCHECK(hdr->occupied == 0);
+  // An empty block holds nothing a forked version reads (shared blocks
+  // are never mutated in place, so the version saw it empty too): it
+  // may go back to the reuse pool without a copy.
+  dir[bid].shared = 0;
   hdr->node = kNoNode;
   const std::uint32_t cls = dir[bid].size_class;
   if (reuse_[cls].size() < kMaxReusePerClass) {
@@ -160,35 +278,35 @@ void ItemPool::ReleaseBlock(std::uint32_t bid) {
   slab_bytes_ -= kHdrBytes + (std::size_t{1} << cls);
   ++released_blocks_;
   char* slab = dir[bid].items - kHdrBytes;
-  dir[bid].items = nullptr;
-  dir[bid].pitch = 0;
+  dir[bid] = BlockRef();
   free_ids_.push_back(bid);
   ::operator delete(slab);
 }
 
 void ItemPool::LinkPartial(Stripe& st, std::uint32_t n, std::uint32_t bid) {
-  BlockHdr* hdr = HdrOf(RefOf(bid));
+  if (st.partial_head[n] != 0) {
+    HdrOf(MutRef(st.partial_head[n]))->prev_partial = bid;
+  }
+  BlockHdr* hdr = HdrOf(MutRef(bid));
   DYNCQ_DCHECK(hdr->in_partial == 0);
   hdr->next_partial = st.partial_head[n];
   hdr->prev_partial = 0;
-  if (st.partial_head[n] != 0) {
-    HdrOf(RefOf(st.partial_head[n]))->prev_partial = bid;
-  }
   st.partial_head[n] = bid;
   hdr->in_partial = 1;
 }
 
 void ItemPool::UnlinkPartial(Stripe& st, std::uint32_t n,
                              std::uint32_t bid) {
-  BlockHdr* hdr = HdrOf(RefOf(bid));
+  BlockHdr* hdr = HdrOf(MutRef(bid));
   DYNCQ_DCHECK(hdr->in_partial == 1);
+  // A neighbor is a different block, so copying it leaves hdr valid.
   if (hdr->prev_partial != 0) {
-    HdrOf(RefOf(hdr->prev_partial))->next_partial = hdr->next_partial;
+    HdrOf(MutRef(hdr->prev_partial))->next_partial = hdr->next_partial;
   } else {
     st.partial_head[n] = hdr->next_partial;
   }
   if (hdr->next_partial != 0) {
-    HdrOf(RefOf(hdr->next_partial))->prev_partial = hdr->prev_partial;
+    HdrOf(MutRef(hdr->next_partial))->prev_partial = hdr->prev_partial;
   }
   hdr->next_partial = 0;
   hdr->prev_partial = 0;
@@ -283,7 +401,7 @@ Item* ItemPool::Alloc(std::uint32_t n, std::size_t stripe) {
   Stripe& st = stripes_[stripe];
   std::uint32_t bid = st.partial_head[n];
   if (bid == 0) bid = AcquireBlock(n, stripe);
-  const BlockRef& r = RefOf(bid);
+  const BlockRef& r = MutRef(bid);
   BlockHdr* hdr = HdrOf(r);
   const std::uint32_t slot = PopSlot(r, hdr);
   if (hdr->free_run_head < 0) UnlinkPartial(st, n, bid);  // block now full
@@ -322,13 +440,16 @@ void ItemPool::Free(Item* it, std::size_t stripe) {
   DYNCQ_DCHECK(static_cast<bool>(h));
   const std::uint32_t idx = h.idx();
   const std::uint32_t slot = idx & ItemHandle::kSlotMask;
-  const BlockRef& r = RefOf(idx >> ItemHandle::kSlotBits);
+  const BlockRef& r = MutRef(idx >> ItemHandle::kSlotBits);
   BlockHdr* hdr = HdrOf(r);
 #if DYNCQ_CHECKED_HANDLES
   DYNCQ_CHECK_MSG(hdr->gens[slot] == h.gen(),
                   "stale ItemHandle dereference (double free: the slot "
                   "generation already moved on)");
 #endif
+  // Callers resolve `it` mutably, so its block is already private.
+  DYNCQ_DCHECK(it == reinterpret_cast<Item*>(
+                         r.items + std::size_t{slot} * r.pitch));
   DestroyChildSlots(it);
   it->~Item();
   ++hdr->gens[slot];
@@ -346,7 +467,7 @@ void ItemPool::Free(Item* it, std::size_t stripe) {
 
 void ItemPool::FreeSlotInternal(std::uint32_t idx) {
   const std::uint32_t bid = idx >> ItemHandle::kSlotBits;
-  const BlockRef& r = RefOf(bid);
+  const BlockRef& r = MutRef(bid);
   BlockHdr* hdr = HdrOf(r);
   const bool was_full = hdr->free_run_head < 0;
   EraseSlot(r, hdr, idx & ItemHandle::kSlotMask);
@@ -388,7 +509,7 @@ std::uint16_t ItemPool::GenerationOf(std::uint32_t idx) const {
 }
 
 Item* ItemPool::ResolveCheckedAt(std::uint32_t idx, std::uint16_t gen) {
-  const BlockRef& r = RefOf(idx >> ItemHandle::kSlotBits);
+  const BlockRef& r = MutRef(idx >> ItemHandle::kSlotBits);
   const std::uint32_t slot = idx & ItemHandle::kSlotMask;
   DYNCQ_CHECK_MSG(HdrOf(r)->gens[slot] == gen,
                   "stale ItemHandle dereference (slot generation "
@@ -396,56 +517,31 @@ Item* ItemPool::ResolveCheckedAt(std::uint32_t idx, std::uint16_t gen) {
   return reinterpret_cast<Item*>(r.items + std::size_t{slot} * r.pitch);
 }
 
-void ItemPool::Retire(std::uint64_t epoch,
-                      const std::vector<ItemHandle>& items) {
-  if (items.empty()) return;
-  // Destroy the child slots now: the version is dead, so its index heap
-  // tables must be released (nothing enumerates them anymore). The slot
-  // generations bump here — a pinned-epoch handle used past retire is a
-  // stale-handle failure — but the slots rejoin their blocks only in
-  // ReclaimThrough, on the writer thread.
-  std::vector<std::uint32_t> idxs;
-  idxs.reserve(items.size());
-  for (ItemHandle h : items) {
-    Item* it = Resolve(h);
-    DestroyChildSlots(it);
-    ++HdrOf(RefOf(h.block()))->gens[h.slot()];
-    idxs.push_back(h.idx());
-  }
-  util::MutexLock lock(&retire_mu_);
-  retired_.push_back(RetireList{epoch, std::move(idxs)});
-  has_retired_.store(true, std::memory_order_relaxed);
-}
-
 void ItemPool::ReclaimThrough(std::uint64_t watermark) {
-  // Collect under the retire mutex, fold the slots in outside it: the
-  // block bookkeeping is writer-thread state that the mutex does not
-  // (and must not) cover, and block release takes dir_mu_.
-  std::vector<std::vector<std::uint32_t>> ready;
+  // Collect under the retire mutex, free outside it: freeing takes
+  // dir_mu_ for the byte count, and the two are never nested.
+  std::vector<char*> ready;
   {
     util::MutexLock lock(&retire_mu_);
+    ready.reserve(retired_.size());
     std::size_t kept = 0;
-    for (std::size_t i = 0; i < retired_.size(); ++i) {
-      RetireList& rl = retired_[i];
-      if (rl.epoch > watermark) {
-        if (kept != i) retired_[kept] = std::move(rl);
-        ++kept;
-        continue;
+    for (RetiredSlab& rs : retired_) {
+      if (rs.epoch > watermark) {
+        retired_[kept++] = rs;
+      } else {
+        ready.push_back(rs.slab);
       }
-      ready.push_back(std::move(rl.idxs));
     }
     retired_.resize(kept);
     if (kept == 0) has_retired_.store(false, std::memory_order_relaxed);
   }
-  for (const std::vector<std::uint32_t>& idxs : ready) {
-    for (std::uint32_t idx : idxs) FreeSlotInternal(idx);
-  }
+  for (char* slab : ready) FreeRetiredSlab(slab);
 }
 
-std::size_t ItemPool::retired_blocks() const {
+std::size_t ItemPool::retired_blocks(std::uint64_t watermark) const {
   util::MutexLock lock(&retire_mu_);
   std::size_t n = 0;
-  for (const RetireList& rl : retired_) n += rl.idxs.size();
+  for (const RetiredSlab& rs : retired_) n += rs.epoch <= watermark ? 1 : 0;
   return n;
 }
 
@@ -454,6 +550,9 @@ ItemPool::Stats ItemPool::GetStats() const {
   Stats s;
   s.slab_bytes = slab_bytes_;
   s.released_blocks = released_blocks_;
+  s.dir_bytes = dir_cap_ * sizeof(BlockRef) + old_dir_bytes_ +
+                frozen_dir_bytes_.load(std::memory_order_relaxed);
+  s.cow_copied_blocks = cow_copied_;
   for (const auto& cls : reuse_) s.reusable_blocks += cls.size();
   const BlockRef* dir = dir_.load(std::memory_order_relaxed);
   const std::uint32_t end = next_bid_.load(std::memory_order_relaxed);

@@ -18,9 +18,19 @@
 // Items are named by ItemHandle (core/handle.h): block id + slot,
 // resolved with one load from a flat block directory plus shift+add —
 // no division, no chain of indirections. The directory grows by
-// copy-and-republish (retired copies are kept until pool destruction),
-// so concurrent snapshot readers may resolve handles lock-free while
-// the writer carves new blocks.
+// copy-and-republish (grown-out copies are kept until pool
+// destruction), so shard workers may resolve handles lock-free while
+// another worker carves new blocks.
+//
+// Snapshot versions (copy-on-write): a fork hands the pinned version
+// the directory array that was live at pin time and republishes a copy
+// with every resident block marked shared. The writer copies a shared
+// block's slab before its first mutation and repoints only the live
+// entry, so a write under a pin costs its ordinary descent plus a few
+// block copies; pinned readers resolve through their own array and
+// never see the writer's memory. Handles name (block id, slot), so they
+// stay valid on both sides. A copied-away slab is retired at the
+// write's epoch and freed once the writer reclaims past it.
 //
 // Striping (sharded batch pipeline): every stripe owns its per-node
 // partial-block lists, so k shard workers Alloc/Free concurrently
@@ -78,6 +88,11 @@ class ItemPool {
   /// computed record offsets against what the pool actually allocates.
   std::size_t block_size(std::uint32_t n) const { return slot_size_[n]; }
 
+  /// Bytes of one slab (header + 64 slots, pow2-rounded) of node `n`.
+  std::size_t slab_bytes_of(std::uint32_t n) const {
+    return SlabBytes(size_class_[n]);
+  }
+
   /// Allocates a zero-initialized item for node `n` from `stripe`, with
   /// `self` stamped. Thread-safe across DISTINCT stripes only.
   Item* Alloc(std::uint32_t n, std::size_t stripe = 0);
@@ -106,22 +121,20 @@ class ItemPool {
 
   /// Resolves a handle to its item: one directory load + shift/add.
   /// Null handle -> nullptr. Checked builds verify the slot generation
-  /// and fail a typed DYNCQ_CHECK on a stale handle.
+  /// and fail a typed DYNCQ_CHECK on a stale handle. The const overload
+  /// (cursors, invariant checks) never copies.
   const Item* Resolve(ItemHandle h) const {
-    if (!h) return nullptr;
-    const BlockRef* dir = dir_.load(std::memory_order_acquire);
-    const BlockRef& r = dir[h.block()];
-    const char* p = r.items + std::size_t{h.slot()} * r.pitch;
-#if DYNCQ_CHECKED_HANDLES
-    DYNCQ_CHECK_MSG(HdrOf(r)->gens[h.slot()] == h.gen(),
-                    "stale ItemHandle dereference (slot generation "
-                    "changed: the item was freed or retired)");
-#endif
-    return reinterpret_cast<const Item*>(p);
+    return ResolveIn(dir_.load(std::memory_order_acquire), h);
   }
+  /// Mutable resolve (writer): while copy-on-write is on, a shared
+  /// block is copied first, so the returned item is the live side's.
   Item* Resolve(ItemHandle h) {
-    return const_cast<Item*>(
-        static_cast<const ItemPool*>(this)->Resolve(h));
+    if (!h) return nullptr;
+    BlockRef* dir = dir_.load(std::memory_order_acquire);
+    if (cow_ && dir[h.block()].shared != 0) [[unlikely]] {
+      CopyBlock(dir[h.block()]);  // repoints the entry in place
+    }
+    return const_cast<Item*>(ResolveIn(dir, h));
   }
 
   /// Handle-bits convenience (ChildSlot head/tail and child-index
@@ -154,56 +167,79 @@ class ItemPool {
     return static_cast<std::size_t>(n);
   }
 
-  // ---- epoch-pinned snapshot support (see docs/ARCHITECTURE.md) ----
-  //
-  // When a pinned snapshot version is forked off, the engine detaches
-  // the version's whole item set from the live structure: the slots
-  // stay readable (pinned cursors keep resolving them) but no longer
-  // count as live. When the version dies, its items are retired —
-  // child-slot destructors run and slot generations bump (a pinned-epoch
-  // handle used after retire is a loud stale-handle failure in checked
-  // builds) — but the slots rejoin their blocks only once the writer
-  // reclaims past the version's epoch, so reclamation never races a
-  // reader that is still tearing its cursor down.
+  // ---- copy-on-write snapshot versions (see the file comment and
+  // docs/ARCHITECTURE.md, "Copy-on-write blocks") ----------------------
 
-  /// Removes `n` items from the live count without freeing them (writer
-  /// thread; the slots remain reachable only through the snapshot).
-  void Detach(std::size_t n) {
-    stripes_[0].live -= static_cast<std::int64_t>(n);
+  /// Directory entry: everything Resolve needs, 16 bytes. `items` is
+  /// nullptr while the block id sits in free_ids_ (slab OS-released).
+  /// `shared` marks a live entry whose slab a forked version may still
+  /// read (meaningful only while copy-on-write is on).
+  struct BlockRef {
+    char* items = nullptr;        ///< first slot (slab + kHdrBytes)
+    std::uint32_t pitch = 0;      ///< slot size of the resident node
+    std::uint16_t size_class = 0; ///< log2 of the slab's payload bytes
+    std::uint8_t shared = 0;
+  };
+
+  /// The live directory array (what a pin records).
+  const BlockRef* directory() const {
+    return dir_.load(std::memory_order_acquire);
   }
 
-  /// Re-adds `n` detached items to the live count (fork rollback).
-  void Undetach(std::size_t n) {
-    stripes_[0].live += static_cast<std::int64_t>(n);
+  /// Resolves `h` through a directory array — the live one or one a
+  /// forked version keeps. Never copies.
+  static const Item* ResolveIn(const BlockRef* dir, ItemHandle h) {
+    if (!h) return nullptr;
+    const BlockRef& r = dir[h.block()];
+    const char* p = r.items + std::size_t{h.slot()} * r.pitch;
+#if DYNCQ_CHECKED_HANDLES
+    DYNCQ_CHECK_MSG(HdrOf(r)->gens[h.slot()] == h.gen(),
+                    "stale ItemHandle dereference (slot generation "
+                    "changed: the item was freed)");
+#endif
+    return reinterpret_cast<const Item*>(p);
   }
 
-  /// Fork-rollback repair: resets the live count to exactly `n` (all on
-  /// stripe 0). A partially failed rebuild may strand allocated slots
-  /// that nothing will free; their blocks' memory stays owned by the
-  /// pool, and this restores the count the re-attached structure
-  /// implies.
-  void SetLiveItemsForRollback(std::size_t n) {
-    for (Stripe& s : stripes_) s.live = 0;
-    stripes_[0].live = static_cast<std::int64_t>(n);
+  /// Forks a version off (writer thread): `frozen` — the array the
+  /// version recorded at pin time, which must still be the live one —
+  /// passes to the version, and a copy with every resident block marked
+  /// shared becomes the live array. Returns the frozen array's capacity
+  /// (the version frees it with ReleaseFrozenDirectory). A failed
+  /// allocation changes nothing.
+  std::size_t Fork(const BlockRef* frozen);
+
+  /// Frees a forked version's directory array. Any thread; touches no
+  /// writer state.
+  void ReleaseFrozenDirectory(const BlockRef* frozen, std::size_t cap);
+
+  /// Writer thread, once per write: turns copy-on-write on while some
+  /// forked version is alive, and sets the epoch copied-away slabs are
+  /// retired at. Turning it off is O(1): stale shared marks are ignored
+  /// until the next Fork recomputes them. Must not change during a
+  /// sharded batch.
+  void SetCopyOnWrite(bool on, std::uint64_t epoch) {
+    cow_ = on;
+    cow_epoch_ = epoch;
   }
 
-  /// Retires already-detached items at `epoch`: runs the child-slot
-  /// destructors (releasing grown index tables), bumps the slot
-  /// generations, and queues the handles for reclamation. Safe to call
-  /// from a reader thread concurrently with the single writer's
-  /// Alloc/Free — retire touches only the retired items' own slots.
-  void Retire(std::uint64_t epoch, const std::vector<ItemHandle>& items);
+  /// Describes node `n`'s run-record ChildSlots (path compression):
+  /// `count` slots at byte `offset` of an item, live iff its run_len is
+  /// non-zero. Block copies and reclamation copy / destroy them along
+  /// with the item's own child slots.
+  void SetRunSlots(std::uint32_t n, std::size_t offset, std::size_t count) {
+    run_slots_[n] = RunSlots{offset, count};
+  }
 
-  /// Returns every slot retired at an epoch <= `watermark` to its
-  /// block's free list (retiring emptied blocks to the reuse pool).
-  /// Writer thread only. Live counts are untouched — Detach already
-  /// removed these items.
+  /// Frees every slab retired at an epoch <= `watermark`, destroying the
+  /// child-slot tables of its occupied slots first. Writer thread only.
   void ReclaimThrough(std::uint64_t watermark);
 
-  /// Items currently sitting in retire lists (test/telemetry hook).
-  std::size_t retired_blocks() const;
+  /// Slabs in the retire list at an epoch <= `watermark`
+  /// (test/telemetry hook).
+  std::size_t retired_blocks(
+      std::uint64_t watermark = ~std::uint64_t{0}) const;
 
-  /// Cheap write-path gate: true iff some retired items await
+  /// Cheap write-path gate: true iff some retired slabs await
   /// reclamation.
   bool has_retired() const {
     return has_retired_.load(std::memory_order_relaxed);
@@ -215,15 +251,16 @@ class ItemPool {
     std::size_t active_blocks = 0;    ///< blocks assigned to a (node, stripe)
     std::size_t reusable_blocks = 0;  ///< emptied, parked in the reuse pool
     std::size_t released_blocks = 0;  ///< emptied, slab returned to the OS
-    std::size_t slab_bytes = 0;       ///< bytes owned (active + reusable)
-    std::size_t occupied_slots = 0;   ///< allocated (incl. detached) slots
+    std::size_t slab_bytes = 0;  ///< bytes owned (active, reusable, retired)
+    std::size_t occupied_slots = 0;   ///< allocated slots
+    std::size_t dir_bytes = 0;        ///< live, grown-out and frozen arrays
+    std::size_t cow_copied_blocks = 0;  ///< slabs copied on write (total)
   };
   Stats GetStats() const;
 
   /// Invokes fn(Item*) for every allocated slot, walking each block's
-  /// skipfield (erased runs are skipped in O(1) per run). Includes
-  /// detached/retired-unreclaimed slots. Test hook; must not run
-  /// concurrently with Alloc/Free.
+  /// skipfield (erased runs are skipped in O(1) per run). Test hook;
+  /// must not run concurrently with Alloc/Free.
   template <typename Fn>
   void ForEachAllocated(Fn&& fn) const {
     const BlockRef* dir = dir_.load(std::memory_order_acquire);
@@ -247,13 +284,7 @@ class ItemPool {
   }
 
  private:
-  /// Directory entry: everything Resolve needs, 16 bytes. `items` is
-  /// nullptr while the block id sits in free_ids_ (slab OS-released).
-  struct BlockRef {
-    char* items = nullptr;        ///< first slot (slab + kHdrBytes)
-    std::uint32_t pitch = 0;      ///< slot size of the resident node
-    std::uint32_t size_class = 0; ///< log2 of the slab's payload bytes
-  };
+  static_assert(sizeof(BlockRef) == 16);
 
   /// Sentinel node id for blocks parked in the reuse pool.
   static constexpr std::uint32_t kNoNode = 0xffffffffu;
@@ -271,8 +302,8 @@ class ItemPool {
     /// Jump-counting skipfield (+1 zero sentinel so erase at the last
     /// slot reads a valid right neighbor).
     std::uint8_t skip[kItemsPerBlock + 1] = {};
-    /// Per-slot generation, bumped on Free and on Retire. Maintained in
-    /// every build; carried in handles under DYNCQ_CHECKED_HANDLES.
+    /// Per-slot generation, bumped on Free. Maintained in every build;
+    /// carried in handles under DYNCQ_CHECKED_HANDLES.
     std::uint16_t gens[kItemsPerBlock] = {};
   };
 
@@ -302,10 +333,11 @@ class ItemPool {
     std::int64_t live = 0;  ///< alloc/free delta (may be < 0)
   };
 
-  /// One snapshot version's worth of retired slots (handle indices).
-  struct RetireList {
+  /// A slab copied away from under a forked version, freed once the
+  /// writer reclaims past `epoch`.
+  struct RetiredSlab {
     std::uint64_t epoch = 0;
-    std::vector<std::uint32_t> idxs;
+    char* slab = nullptr;
   };
 
   static BlockHdr* HdrOf(const BlockRef& r) {
@@ -314,10 +346,17 @@ class ItemPool {
   const BlockRef& RefOf(std::uint32_t bid) const {
     return dir_.load(std::memory_order_acquire)[bid];
   }
-  Item* RawItem(std::uint32_t idx) const {
-    const BlockRef& r = RefOf(idx >> ItemHandle::kSlotBits);
-    return reinterpret_cast<Item*>(
-        r.items + std::size_t{idx & ItemHandle::kSlotMask} * r.pitch);
+  /// The live entry of `bid`, copied first if a forked version shares
+  /// it. Every mutation of a non-empty block's slab goes through here
+  /// or through the mutable Resolve; empty blocks (reuse, release,
+  /// fresh slabs) hold nothing a version reads.
+  BlockRef& MutRef(std::uint32_t bid) {
+    BlockRef& r = dir_.load(std::memory_order_acquire)[bid];
+    if (cow_ && r.shared != 0) [[unlikely]] CopyBlock(r);
+    return r;
+  }
+  static std::size_t SlabBytes(std::uint32_t size_class) {
+    return kHdrBytes + (std::size_t{1} << size_class);
   }
   std::uint32_t next_bid_unlocked() const {
     return next_bid_.load(std::memory_order_acquire);
@@ -329,11 +368,27 @@ class ItemPool {
                                           r.pitch);
   }
 
+  /// Invokes fn(ChildSlot&) for every constructed ChildSlot of the
+  /// occupied slots of the slab at `hdr`: each item's own child slots,
+  /// then its run-record slots if it holds a run.
+  template <typename Fn>
+  void ForEachSlabChildSlot(BlockHdr* hdr, Fn&& fn);
+
   /// Destroys `it`'s child slots (their index heap tables).
   void DestroyChildSlots(Item* it);
 
+  /// Copy-on-write: gives `r` (a shared live entry) a private copy of
+  /// its slab, child-slot heap tables included, and retires the old
+  /// slab at cow_epoch_. An empty block is just unmarked. Strong
+  /// guarantee: every allocation happens before the entry is repointed.
+  void CopyBlock(BlockRef& r);
+
+  /// Destroys the child-slot tables of a retired slab and frees it.
+  void FreeRetiredSlab(char* slab);
+
   /// Pops one slot from `hdr`'s free-run list (which must be non-empty)
-  /// and marks it occupied. Returns the slot index.
+  /// and marks it occupied. Returns the slot index. `r` must be private
+  /// (obtained through MutRef), as for EraseSlot.
   std::uint32_t PopSlot(const BlockRef& r, BlockHdr* hdr);
 
   /// Marks slot `i` erased: skipfield run merge + free-run list update.
@@ -350,6 +405,10 @@ class ItemPool {
   /// slab; links it as the (n, stripe) partial head.
   std::uint32_t AcquireBlock(std::uint32_t n, std::size_t stripe);
 
+  /// AcquireBlock's directory part, under dir_mu_: a reusable block of
+  /// n's size class, or a fresh slab under a new or recycled id.
+  std::uint32_t TakeBlock(std::uint32_t n);
+
   /// Returns an emptied, unlinked block to the reuse pool (or the OS
   /// past the per-class cap).
   void ReleaseBlock(std::uint32_t bid);
@@ -361,19 +420,33 @@ class ItemPool {
   std::vector<std::size_t> num_atoms_;
   std::vector<std::size_t> slot_size_;   // per node
   std::vector<std::uint32_t> size_class_;  // per node: log2 slab payload
+  struct RunSlots {
+    std::size_t offset = 0;
+    std::size_t count = 0;  // 0: the node's items never hold a run
+  };
+  std::vector<RunSlots> run_slots_;  // per node (SetRunSlots)
   std::vector<Stripe> stripes_;
   std::atomic<bool> concurrent_{false};
+  // Copy-on-write state: writer-thread only (SetCopyOnWrite runs before
+  // any shard worker starts, and sharded batches never run with it on).
+  bool cow_ = false;
+  std::uint64_t cow_epoch_ = 0;
+  std::size_t cow_copied_ = 0;
 
-  // Flat block directory. Readers resolve lock-free off the published
-  // array (acquire load); every mutation — growth, block acquisition,
-  // release — happens under dir_mu_. Retired directory arrays are kept
-  // until destruction so a concurrent reader's snapshot of dir_ stays
-  // valid forever. next_bid_ is atomic only so the test-side walkers
+  // Flat block directory. Shard workers resolve lock-free off the
+  // published array (acquire load); growth, block acquisition and
+  // release happen under dir_mu_. Arrays replaced by growth are kept
+  // until destruction so a concurrent worker's load of dir_ stays
+  // valid; an array replaced by Fork passes to the forked version
+  // instead. next_bid_ is atomic only so the test-side walkers
   // (ForEachAllocated/GetStats) read a published bound.
   std::atomic<BlockRef*> dir_{nullptr};
   std::atomic<std::uint32_t> next_bid_{1};  // block id 0 is reserved
   std::size_t dir_cap_ DYNCQ_GUARDED_BY(dir_mu_) = 0;
   std::vector<BlockRef*> old_dirs_ DYNCQ_GUARDED_BY(dir_mu_);
+  std::size_t old_dir_bytes_ DYNCQ_GUARDED_BY(dir_mu_) = 0;
+  // Arrays held by forked versions; released from any thread.
+  std::atomic<std::size_t> frozen_dir_bytes_{0};
   std::vector<std::uint32_t> free_ids_ DYNCQ_GUARDED_BY(dir_mu_);
   /// Reuse pool: emptied block ids per size class.
   std::vector<std::vector<std::uint32_t>> reuse_ DYNCQ_GUARDED_BY(dir_mu_);
@@ -381,14 +454,13 @@ class ItemPool {
   std::size_t released_blocks_ DYNCQ_GUARDED_BY(dir_mu_) = 0;
 
   // Lock hierarchy (util/lock_rank.h): retire_mu_ is taken with the
-  // engine's snap_mu_ already held (version death under the snapshot
-  // registry lock retires its forest here) — the rank-token edges
-  // complete the registry mu_ -> snap_mu_ -> retire_mu_ -> dir_mu_
-  // chain under -Wthread-safety-beta. ReclaimThrough deliberately never
-  // nests retire_mu_ and dir_mu_ — it collects the ready lists under
-  // retire_mu_, releases it, and folds the slots in (taking dir_mu_ for
-  // block release) outside; dir_mu_ is still declared ACQUIRED_AFTER so
-  // the order stays machine-checked if nesting ever reappears.
+  // engine's snap_mu_ already held (DropAllSnapshots reclaims under the
+  // snapshot registry lock) — the rank-token edges complete the
+  // registry mu_ -> snap_mu_ -> retire_mu_ -> dir_mu_ chain under
+  // -Wthread-safety-beta. Neither ReclaimThrough nor CopyBlock nests
+  // retire_mu_ and dir_mu_ — each releases one before taking the other;
+  // dir_mu_ is still declared ACQUIRED_AFTER so the order stays
+  // machine-checked if nesting ever reappears.
   // Alloc/Free/stripes_ stay unannotated on purpose: their
   // safety argument is stripe ownership (one thread per stripe during a
   // sharded batch), which is a TSan-checked protocol, not a lock.
@@ -397,11 +469,11 @@ class ItemPool {
           DYNCQ_ACQUIRED_BEFORE(util::lock_rank::kBelowPoolRetire);
   mutable util::Mutex dir_mu_
       DYNCQ_ACQUIRED_AFTER(retire_mu_, util::lock_rank::kBelowPoolRetire);
-  std::vector<RetireList> retired_ DYNCQ_GUARDED_BY(retire_mu_);
+  std::vector<RetiredSlab> retired_ DYNCQ_GUARDED_BY(retire_mu_);
   // Relaxed write-path gate, deliberately NOT guarded: the writer polls
   // it lock-free before deciding to take retire_mu_ at all (see
-  // has_retired()). Readers set it under the mutex (Retire), so a
-  // relaxed false negative only defers reclamation to the next write.
+  // has_retired()). It is set under the mutex (CopyBlock), so a relaxed
+  // false negative only defers reclamation to the next write.
   std::atomic<bool> has_retired_{false};
 };
 

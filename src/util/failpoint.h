@@ -5,7 +5,7 @@
 // allocations with DYNCQ_ALLOC_FAILPOINT(). A test arms the process-wide
 // fail point to throw std::bad_alloc on the Nth guarded allocation (or
 // on every Nth), then asserts the structure survived: tables stay
-// intact, pins leak no epoch, a failed snapshot fork rolls back.
+// intact, pins leak no epoch, a failed snapshot fork changes nothing.
 //
 // Disarmed (the default, including all production use) the hook costs
 // one relaxed atomic load per guarded allocation — these are growth

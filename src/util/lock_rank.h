@@ -4,7 +4,7 @@
 //
 //   serve::QueryRegistry::mu_           (registry routing + entry table)
 //     -> DynamicQueryEngine::snap_mu_   (engine snapshot/epoch state)
-//       -> core::ItemPool::retire_mu_   (epoch retire lists)
+//       -> core::ItemPool::retire_mu_   (retired slabs)
 //         -> core::ItemPool::dir_mu_    (block directory)
 //
 // Clang checks ACQUIRED_BEFORE/ACQUIRED_AFTER edges transitively under

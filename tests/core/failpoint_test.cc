@@ -4,11 +4,12 @@
 // allocation, so an injected std::bad_alloc must leave the guarded
 // structure exactly as it was: a throwing Relation::Rehash keeps the
 // table intact and retryable, a throwing ChildIndex growth keeps every
-// present key findable, a failed PinEpoch registers no epoch, and a
-// failed snapshot fork rolls the detached forests back so both the live
-// structure and the pinned version survive.
+// present key findable, a failed PinEpoch registers no epoch, a failed
+// snapshot fork (the directory republish) changes nothing, and a failed
+// copy-on-write block copy leaves the pinned version intact.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <new>
@@ -200,9 +201,9 @@ TEST(FailpointTest, FailedForkRollsBackAndStaysRetryable) {
   const RelId e = q.schema().FindRelation("E");
   const RelId t = q.schema().FindRelation("T");
 
-  // Enough live items that rebuilding the forest after the detach must
-  // carve fresh pool chunks (the detached items stay alive in the pinned
-  // version), so ArmCountdown(1) lands inside the fork.
+  // A loaded structure, so the fork has a real directory to republish.
+  // The fork's directory allocation is the write's first guarded
+  // allocation, so ArmCountdown(1) lands inside the fork.
   workload::StreamGenerator gen(q.schema_ptr(),
                                 {.seed = 7, .domain_size = 400});
   engine.ApplyAll(gen.TakeFor(e, 1500));
@@ -213,7 +214,7 @@ TEST(FailpointTest, FailedForkRollsBackAndStaysRetryable) {
   auto pin = engine.PinEpoch();
   ASSERT_TRUE(pin.ok()) << pin.error();
 
-  // The first post-pin write forks; its first chunk carve throws.
+  // The first post-pin write forks; its directory republish throws.
   const UpdateCmd ins = UpdateCmd::Insert(e, Tuple{401, 402});
   g_alloc_failpoint.ArmCountdown(1);
   const std::uint64_t hits_before = g_alloc_failpoint.hits();
@@ -222,7 +223,7 @@ TEST(FailpointTest, FailedForkRollsBackAndStaysRetryable) {
   ASSERT_GT(g_alloc_failpoint.hits(), hits_before)
       << "the fork never reached a guarded allocation";
 
-  // Rollback left the live structure fully intact...
+  // The failed fork changed nothing: the live structure is intact...
   for (std::size_t c = 0; c < engine.NumComponents(); ++c) {
     engine.component(c).CheckInvariants();
   }
@@ -232,8 +233,9 @@ TEST(FailpointTest, FailedForkRollsBackAndStaysRetryable) {
   EXPECT_EQ(engine.num_pinned_epochs(), 1u);
   EXPECT_TRUE(SameTupleSet(DrainSnapshot(engine, pin.value()), pre));
 
-  // The same update now succeeds (the fork re-runs), the live result
-  // moves, and the pinned version still enumerates the pre-pin result.
+  // The same update now succeeds (the fork re-runs, and the writes copy
+  // the blocks they touch), the live result moves, and the pinned
+  // version still enumerates the pre-pin result.
   EXPECT_TRUE(engine.Apply(ins));
   EXPECT_TRUE(engine.Apply(UpdateCmd::Insert(t, Tuple{402})));
   std::vector<Tuple> expected = pre;
@@ -247,6 +249,59 @@ TEST(FailpointTest, FailedForkRollsBackAndStaysRetryable) {
   for (std::size_t c = 0; c < engine.NumComponents(); ++c) {
     engine.component(c).CheckInvariants();
   }
+}
+
+// A block copy that fails in the middle of a write under a pin: the
+// copy allocates its slab and every heap-table copy before it repoints
+// the live directory entry, so the pinned version never sees a partial
+// copy. The countdown walks the failure across every guarded allocation
+// of the write (per copied block: the slab, then its child-index
+// tables), until the write goes through; the version must drain its
+// pin-time result whichever one throws.
+TEST(FailpointTest, FailedBlockCopyKeepsThePinnedVersion) {
+  FailpointGuard guard;
+  Query q = testing::paper::Example61();
+  const RelId r = q.schema().FindRelation("R");
+  const RelId e = q.schema().FindRelation("E");
+  std::size_t copied_before_failure = 0;
+  bool completed = false;
+  for (std::uint64_t nth = 2; !completed; ++nth) {
+    ASSERT_LT(nth, 1000u) << "the write never got through";
+    SCOPED_TRACE(nth);
+    auto engine_r = core::Engine::Create(q);
+    ASSERT_TRUE(engine_r.ok()) << engine_r.error();
+    core::Engine& engine = *engine_r.value();
+    workload::StreamGenerator gen(q.schema_ptr(),
+                                  {.seed = 9, .domain_size = 6});
+    engine.ApplyAll(gen.Take(400));
+    const std::vector<Tuple> pre = MaterializeResult(engine);
+    ASSERT_FALSE(pre.empty());
+    auto pin = engine.PinEpoch();
+    ASSERT_TRUE(pin.ok()) << pin.error();
+
+    // A batch touching many items: several blocks get copied, each with
+    // grown child-index tables. The fork is allocation 1.
+    UpdateStream batch;
+    for (Value v = 1; v <= 6; ++v) {
+      batch.push_back(UpdateCmd::Insert(r, Tuple{v, v, 7}));
+      batch.push_back(UpdateCmd::Insert(e, Tuple{v, 8}));
+    }
+    g_alloc_failpoint.ArmCountdown(nth);
+    try {
+      engine.ApplyAll(batch);
+      completed = true;
+    } catch (const std::bad_alloc&) {
+      copied_before_failure = std::max(
+          copied_before_failure,
+          engine.component(0).pool().GetStats().cow_copied_blocks);
+    }
+    g_alloc_failpoint.Disarm();
+    EXPECT_EQ(engine.num_pinned_epochs(), 1u);
+    EXPECT_TRUE(SameTupleSet(DrainSnapshot(engine, pin.value()), pre));
+    EXPECT_TRUE(engine.UnpinEpoch(pin.value()).ok());
+  }
+  // Some failure struck after whole blocks had already been copied.
+  EXPECT_GT(copied_before_failure, 0u);
 }
 
 }  // namespace

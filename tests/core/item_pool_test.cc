@@ -1,8 +1,8 @@
-// Hive ItemPool: generation-checked handles, skipfield churn, and block
-// reclamation (core/item_pool.h).
+// Hive ItemPool: generation-checked handles, skipfield churn, block
+// reclamation, and copy-on-write block forks (core/item_pool.h).
 //
-// The stale-handle tests assert the TYPED failure contract: a freed or
-// retired handle must fail a DYNCQ_CHECK (std::logic_error), never read
+// The stale-handle tests assert the TYPED failure contract: a freed
+// handle must fail a DYNCQ_CHECK (std::logic_error), never read
 // the slot's new occupant. Checked builds enforce it on every Resolve;
 // ResolveCheckedAt enforces it in every build, so the contract is tested
 // under Release too.
@@ -69,30 +69,56 @@ TEST(ItemPoolTest, FreedHandleFailsTypedCheck) {
   pool.Free(again);
 }
 
-TEST(ItemPoolTest, RetiredEpochHandleFailsTypedCheck) {
+TEST(ItemPoolTest, CopyOnWriteRetiresTheSharedSlabUntilItsEpoch) {
   ItemPool pool = MakePool();
   Item* it = pool.Alloc(0);
+  it->value = 11;
   const ItemHandle h = it->self;
-  const std::uint32_t idx = h.idx();
-  const std::uint16_t gen = pool.GenerationOf(idx);
-  // Snapshot-version death path: detach from the live count, then retire
-  // at an epoch. Retire bumps the generation immediately — a pinned
-  // cursor's handle used after its version died must fail loudly, even
-  // before the writer reclaims the slots.
-  pool.Detach(1);
-  pool.Retire(7, {h});
-  EXPECT_TRUE(pool.has_retired());
-  EXPECT_THROW(pool.ResolveCheckedAt(idx, gen), std::logic_error);
-#if DYNCQ_CHECKED_HANDLES
-  EXPECT_THROW(pool.Resolve(h), std::logic_error);
-#endif
-  // Reclamation below the epoch keeps the slots queued...
+  // A heap-grown child index, so the block copy must deep-copy it.
+  ChildIndex& index = ItemSlots(it, 1)->index;
+  for (Value v = 1; v <= 20; ++v) *index.FindOrInsertSlot(v) = v;
+  ASSERT_GT(index.heap_capacity(), 0u);
+  const std::size_t slab_bytes = pool.GetStats().slab_bytes;
+
+  // Pin + fork: the version keeps the directory it recorded; the live
+  // side republishes a copy with the block marked shared.
+  const ItemPool::BlockRef* frozen = pool.directory();
+  const std::size_t cap = pool.Fork(frozen);
+  EXPECT_NE(pool.directory(), frozen);
+  pool.SetCopyOnWrite(true, 7);
+  EXPECT_EQ(ItemPool::ResolveIn(frozen, h), it);
+  EXPECT_EQ(static_cast<const ItemPool&>(pool).Resolve(h), it)
+      << "a const resolve must never copy";
+  EXPECT_EQ(pool.GetStats().cow_copied_blocks, 0u);
+
+  // The first mutable resolve copies the block and retires the old slab
+  // at the write's epoch; the handle names the copy on the live side.
+  Item* live = pool.Resolve(h);
+  ASSERT_NE(live, it);
+  EXPECT_EQ(pool.GetStats().cow_copied_blocks, 1u);
+  EXPECT_EQ(pool.retired_blocks(), 1u);
+  EXPECT_EQ(pool.Resolve(h), live);  // private now: no second copy
+  EXPECT_EQ(pool.GetStats().cow_copied_blocks, 1u);
+  live->value = 12;
+  ASSERT_TRUE(ItemSlots(live, 1)->index.Erase(5));
+
+  // The version's item and index table are untouched.
+  const Item* old = ItemPool::ResolveIn(frozen, h);
+  EXPECT_EQ(old->value, 11);
+  EXPECT_EQ(ItemSlots(old, 1)->index.Find(5), 5u);
+  EXPECT_EQ(ItemSlots(live, 1)->index.Find(5), 0u);
+
+  // Version death frees its directory; the slab waits for the
+  // watermark to pass the epoch it was retired at.
+  pool.ReleaseFrozenDirectory(frozen, cap);
   pool.ReclaimThrough(6);
   EXPECT_TRUE(pool.has_retired());
-  // ...and reclaiming through it folds them back into the block.
   pool.ReclaimThrough(7);
   EXPECT_FALSE(pool.has_retired());
-  EXPECT_THROW(pool.ResolveCheckedAt(idx, gen), std::logic_error);
+  EXPECT_EQ(pool.retired_blocks(), 0u);
+  EXPECT_EQ(pool.GetStats().slab_bytes, slab_bytes);
+  pool.SetCopyOnWrite(false, 0);
+  pool.Free(live);
 }
 
 TEST(ItemPoolTest, GenerationWraparoundIsTheAbaWindow) {

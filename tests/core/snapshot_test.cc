@@ -2,11 +2,14 @@
 // cursors").
 //
 // PinEpoch captures the current result version; the first post-pin
-// write detaches the pinned forests and rebuilds the live structure, so
-// pinned cursors keep enumerating exactly the pre-pin result — with
-// constant delay on core::Engine, by materialization elsewhere — while
+// write forks it off (the version keeps its block directory and the
+// writer copies each shared block before mutating it), so pinned
+// cursors keep enumerating exactly the pre-pin result — with constant
+// delay on core::Engine, by materialization elsewhere — while
 // single-writer traffic (single updates, sequential batches, sharded
-// batches) proceeds. Non-snapshot cursors keep the strict kInvalidated
+// batches) proceeds. The copy-on-write tests pin down that a write
+// under a pin copies a constant number of blocks, independent of the
+// database size, and that memory returns to baseline once versions die. Non-snapshot cursors keep the strict kInvalidated
 // contract. Misuse (unpinning twice, pinning under an open sharded
 // batch, exceeding the pin limit, reclaiming while pinned) returns
 // typed util::Result errors. The threaded test at the bottom is the
@@ -14,6 +17,7 @@
 // churns through every write path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -22,6 +26,7 @@
 #include <vector>
 
 #include "../test_util.h"
+#include "baseline/evaluator.h"
 #include "baseline/recompute.h"
 #include "core/engine.h"
 #include "core/session.h"
@@ -449,6 +454,225 @@ TEST(SnapshotTest, ConcurrentReadersUnderChurn) {
   ASSERT_TRUE(engine.UnpinEpoch(pin1.value()).ok());
   ASSERT_TRUE(engine.UnpinEpoch(pin2.value()).ok());
   EXPECT_TRUE(engine.DropAllSnapshots().ok());
+  EXPECT_EQ(engine.RetiredBlocks(), 0u);
+  CheckAllInvariants(engine);
+}
+
+// Two versions alive at different epochs while every write path runs:
+// singles, a sequential batch, and a sharded batch that must fall back
+// to one stripe (two workers could otherwise race to copy one block).
+TEST(SnapshotTest, OverlappingVersionsAcrossWritePaths) {
+  for (const Query& q :
+       {testing::paper::Example61(),
+        MustParse("Q(x, y, z) :- R(x, y), S(x, z).")}) {
+    SCOPED_TRACE(q.ToString());
+    std::unique_ptr<core::Engine> holder;
+    core::Engine& engine = MustCreate(&holder, q);
+    workload::StreamGenerator gen(
+        q.schema_ptr(), {.seed = 21, .domain_size = 12, .insert_ratio = 0.7});
+    engine.ApplyAll(gen.Take(300));
+
+    auto check = [&](const std::vector<std::pair<std::uint64_t,
+                                                 std::vector<Tuple>>>& held) {
+      for (const auto& [epoch, expected] : held) {
+        EXPECT_TRUE(SameTupleSet(DrainSnapshot(engine, epoch), expected));
+      }
+      EXPECT_TRUE(SameTupleSet(MaterializeResult(engine),
+                               baseline::Evaluate(engine.db(), q)));
+      CheckAllInvariants(engine);
+    };
+    auto stripes = [&] {
+      std::size_t k = 0;
+      for (std::size_t c = 0; c < engine.NumComponents(); ++c) {
+        k = std::max(k, engine.component(c).pool().num_stripes());
+      }
+      return k;
+    };
+
+    std::vector<std::pair<std::uint64_t, std::vector<Tuple>>> held;
+    auto pin_a = engine.PinEpoch();
+    ASSERT_TRUE(pin_a.ok()) << pin_a.error();
+    held.emplace_back(pin_a.value(), MaterializeResult(engine));
+    for (const UpdateCmd& cmd : gen.Take(20)) engine.Apply(cmd);
+    check(held);
+
+    auto pin_b = engine.PinEpoch();
+    ASSERT_TRUE(pin_b.ok()) << pin_b.error();
+    ASSERT_NE(pin_b.value(), pin_a.value());
+    held.emplace_back(pin_b.value(), MaterializeResult(engine));
+    engine.ApplyAll(gen.Take(40));
+    check(held);
+    engine.ApplyAll(gen.Take(40), BatchOptions{.shards = 2});
+    check(held);
+    EXPECT_EQ(stripes(), 1u) << "a sharded batch ran under a live version";
+    for (const UpdateCmd& cmd : gen.Take(20)) engine.Apply(cmd);
+    check(held);
+
+    // The older version dies first; the younger one is unaffected.
+    ASSERT_TRUE(engine.UnpinEpoch(pin_a.value()).ok());
+    held.erase(held.begin());
+    engine.ApplyAll(gen.Take(40), BatchOptions{.shards = 2});
+    check(held);
+    ASSERT_TRUE(engine.UnpinEpoch(pin_b.value()).ok());
+    held.clear();
+    EXPECT_TRUE(engine.DropAllSnapshots().ok());
+    EXPECT_EQ(engine.RetiredBlocks(), 0u);
+
+    // No version left: sharded batches shard again.
+    engine.ApplyAll(gen.Take(40), BatchOptions{.shards = 2});
+    EXPECT_EQ(stripes(), 2u);
+    check(held);
+  }
+}
+
+std::size_t CopiedBlocks(const core::Engine& engine) {
+  std::size_t n = 0;
+  for (std::size_t c = 0; c < engine.NumComponents(); ++c) {
+    n += engine.component(c).pool().GetStats().cow_copied_blocks;
+  }
+  return n;
+}
+
+struct ForkCost {
+  std::size_t copies_under_pin = 0;
+  std::size_t copies_after_death = 0;
+};
+
+// Loads ~4n tuples over domain n plus `fixture`, pins, applies `probe`
+// (the first post-pin write, which forks), and counts the blocks that
+// write copied; then drops the version and counts the copies of more
+// writes. The fixture gives the probe a fixed neighbourhood: it only
+// touches items the fixture created, so its copy count cannot depend
+// on how the random load happened to lay out blocks.
+ForkCost MeasureForkCost(const Query& q, std::size_t n,
+                         const UpdateStream& fixture,
+                         const UpdateCmd& probe) {
+  std::unique_ptr<core::Engine> holder;
+  core::Engine& engine = MustCreate(&holder, q);
+  workload::StreamGenerator gen(
+      q.schema_ptr(), {.seed = 5, .domain_size = n, .insert_ratio = 1.0});
+  engine.ApplyAll(gen.Take(4 * n));
+  engine.ApplyAll(fixture);
+  const std::vector<Tuple> pre = MaterializeResult(engine);
+
+  ForkCost cost;
+  auto pin = engine.PinEpoch();
+  EXPECT_TRUE(pin.ok()) << pin.error();
+  const std::size_t before = CopiedBlocks(engine);
+  EXPECT_TRUE(engine.Apply(probe));
+  cost.copies_under_pin = CopiedBlocks(engine) - before;
+  EXPECT_EQ(DrainSnapshot(engine, pin.value()).size(), pre.size());
+  EXPECT_TRUE(engine.UnpinEpoch(pin.value()).ok());
+  EXPECT_TRUE(engine.DropAllSnapshots().ok());
+
+  // The version is dead: copy-on-write is off for every later write.
+  const std::size_t after = CopiedBlocks(engine);
+  const UpdateCmd inverse = probe.kind == UpdateKind::kInsert
+                                ? UpdateCmd::Delete(probe.rel, probe.tuple)
+                                : UpdateCmd::Insert(probe.rel, probe.tuple);
+  EXPECT_TRUE(engine.Apply(inverse));
+  engine.ApplyAll(gen.Take(64));
+  cost.copies_after_death = CopiedBlocks(engine) - after;
+  CheckAllInvariants(engine);
+  return cost;
+}
+
+// The O(touched) fork: one insert under a pin copies the same small
+// number of blocks at n=1k and n=64k — one per materialized q-tree
+// node its walk touches — and nothing once the version has died.
+TEST(SnapshotTest, WriteUnderPinCopiesOnlyTouchedBlocks) {
+  constexpr Value kX = 1'000'001, kY1 = 1'000'002, kY2 = 1'000'003;
+  struct Case {
+    Query q;
+    UpdateStream fixture;
+    UpdateCmd probe;
+    std::size_t copies;  // materialized q-tree nodes the probe touches
+  };
+  Query star = MustParse("Q(x, y, z) :- R(x, y), S(x, z).");
+  Query chain = MustParse("Q(x, y, z) :- R(x), S(x, y), T(x, y, z).");
+  const RelId sr = star.schema().FindRelation("R");
+  const RelId ss = star.schema().FindRelation("S");
+  const RelId cr = chain.schema().FindRelation("R");
+  const RelId cs = chain.schema().FindRelation("S");
+  const RelId ct = chain.schema().FindRelation("T");
+  std::vector<Case> cases;
+  cases.push_back({star,
+                   {UpdateCmd::Insert(sr, {kX, kY1}),
+                    UpdateCmd::Insert(ss, {kX, kY1})},
+                   UpdateCmd::Insert(ss, {kX, kY2}), 1});
+  cases.push_back({chain,
+                   {UpdateCmd::Insert(cr, {kX}),
+                    UpdateCmd::Insert(cs, {kX, kY1}),
+                    UpdateCmd::Insert(cs, {kX, kY2}),
+                    UpdateCmd::Insert(ct, {kX, kY1, kY1}),
+                    UpdateCmd::Insert(ct, {kX, kY2, kY2})},
+                   UpdateCmd::Insert(ct, {kX, kY1, kY2}), 2});
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.q.ToString());
+    const ForkCost small = MeasureForkCost(c.q, 1000, c.fixture, c.probe);
+    const ForkCost large = MeasureForkCost(c.q, 64000, c.fixture, c.probe);
+    EXPECT_EQ(small.copies_under_pin, c.copies);
+    EXPECT_EQ(large.copies_under_pin, c.copies);
+    EXPECT_EQ(small.copies_after_death, 0u);
+    EXPECT_EQ(large.copies_after_death, 0u);
+  }
+}
+
+// Bounded retention: pin -> write -> drain -> unpin -> DropAllSnapshots,
+// 10k times. Every cycle forks a directory and copies blocks; all of it
+// must be returned, so slab and directory bytes end where the unpinned
+// engine started (within one block).
+TEST(SnapshotTest, PinWriteCyclesReturnToBaselineMemory) {
+  Query q = MustParse("Q(x, y, z) :- R(x, y), S(x, z).");
+  std::unique_ptr<core::Engine> holder;
+  core::Engine& engine = MustCreate(&holder, q);
+  workload::StreamGenerator gen(
+      q.schema_ptr(), {.seed = 3, .domain_size = 40, .insert_ratio = 1.0});
+  engine.ApplyAll(gen.Take(120));
+  const RelId s = q.schema().FindRelation("S");
+  const UpdateCmd ins = UpdateCmd::Insert(s, {1'000'001, 1'000'002});
+  const UpdateCmd del = UpdateCmd::Delete(s, {1'000'001, 1'000'002});
+  auto totals = [&] {
+    std::pair<std::size_t, std::size_t> t{0, 0};
+    for (std::size_t c = 0; c < engine.NumComponents(); ++c) {
+      const auto st = engine.component(c).pool().GetStats();
+      t.first += st.slab_bytes;
+      t.second += st.dir_bytes;
+    }
+    return t;
+  };
+  // Unpinned baseline, after the write pair has settled the pool.
+  ASSERT_TRUE(engine.Apply(ins));
+  ASSERT_TRUE(engine.Apply(del));
+  const auto base = totals();
+  std::size_t max_slab = 0;
+  for (std::size_t c = 0; c < engine.NumComponents(); ++c) {
+    const core::ItemPool& pool = engine.component(c).pool();
+    for (std::uint32_t n = 0; n < engine.component(c).tree().NumNodes();
+         ++n) {
+      max_slab = std::max(max_slab, pool.slab_bytes_of(n));
+    }
+  }
+
+  for (int cycle = 0; cycle < 10'000; ++cycle) {
+    const Weight at_pin = engine.Count();
+    auto pin = engine.PinEpoch();
+    ASSERT_TRUE(pin.ok()) << pin.error();
+    ASSERT_TRUE(engine.Apply(cycle % 2 == 0 ? ins : del));
+    auto cur = engine.NewSnapshotCursor(pin.value());
+    ASSERT_TRUE(cur.ok()) << cur.error();
+    Weight drained = 0;
+    Tuple t;
+    while (cur.value()->Next(&t) == CursorStatus::kOk) ++drained;
+    ASSERT_EQ(drained, at_pin);
+    cur.value().reset();
+    ASSERT_TRUE(engine.UnpinEpoch(pin.value()).ok());
+    ASSERT_TRUE(engine.DropAllSnapshots().ok());
+  }
+  const auto end = totals();
+  EXPECT_LE(end.first, base.first + max_slab);
+  EXPECT_GE(end.first + max_slab, base.first);
+  EXPECT_EQ(end.second, base.second);
   EXPECT_EQ(engine.RetiredBlocks(), 0u);
   CheckAllInvariants(engine);
 }
