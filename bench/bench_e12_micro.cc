@@ -200,34 +200,6 @@ void BM_EngineApplyBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineApplyBatch)->Arg(1000)->Arg(16000)->Arg(64000);
 
-// The sharded pipeline over the same churn stream (4 shards). On this
-// 1-CPU host the interesting number is the overhead vs BM_EngineApplyBatch
-// (routing, root pre-creation, thread spawns), not a speedup.
-void BM_EngineApplyBatchSharded(benchmark::State& state) {
-  Query q = Parse("Q(x, y, z) :- R(x, y), S(x, z).");
-  auto engine = core::Engine::Create(q);
-  DYNCQ_CHECK(engine.ok());
-  workload::StreamOptions opts;
-  opts.domain_size = static_cast<std::size_t>(state.range(0));
-  opts.insert_ratio = 0.5;
-  workload::StreamGenerator gen(q.schema_ptr(), opts);
-  for (const UpdateCmd& c : gen.Take(4 * opts.domain_size)) {
-    (*engine)->Apply(c);
-  }
-  constexpr std::size_t kBatch = 4096;
-  BatchOptions bo;
-  bo.shards = 4;
-  for (auto _ : state) {
-    state.PauseTiming();
-    UpdateStream batch = gen.Take(kBatch);
-    state.ResumeTiming();
-    (*engine)->ApplyBatch(std::span<const UpdateCmd>(batch), bo);
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * kBatch));
-}
-BENCHMARK(BM_EngineApplyBatchSharded)->Arg(1000)->Arg(16000)->Arg(64000);
-
 // ---------------------------------------------------------------------
 // Structure micros: generalized leaf inlining + path compression (the
 // PR 5 tentpole) against the legacy layout, on the shapes they target.

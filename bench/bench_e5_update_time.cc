@@ -230,11 +230,9 @@ void PartC(JsonWriter* json) {
   const std::size_t kOps = 200000;
   const std::size_t kBatchOps = 100000;
   const std::size_t kBatchSize = 8192;
-  const std::size_t kShards = 4;
 
   TablePrinter t({"query", "n (adom)", "ns/update", "baseline ns",
-                  "speedup", "batch ns/update", "sharded ns/update",
-                  "enum ns/tuple"});
+                  "speedup", "batch ns/update", "enum ns/tuple"});
   for (const BaselineNs& base : kPreRefactorBaseline) {
     for (const auto& [name, q, base_ns] :
          {std::tuple<const char*, const Query*, double>{"chain", &chain,
@@ -254,26 +252,6 @@ void PartC(JsonWriter* json) {
       }
       double batch_ns =
           bt.ElapsedNs() / static_cast<double>(stream.size());
-
-      // Sharded batch pipeline (same stream, fresh engine). Report-only:
-      // this host has 1 CPU, so the number tracks the sharding overhead
-      // (routing, root pre-creation, thread spawns), not the multi-core
-      // speedup — the trajectory gate pattern deliberately excludes it
-      // until the multi-core-host ROADMAP item lands.
-      double sharded_ns = 0.0;
-      {
-        auto sharded_engine = MakePreloaded(*q, base.n);
-        UpdateStream stream2 = ChurnStream(*q, base.n, kBatchOps);
-        BatchOptions bo;
-        bo.shards = kShards;
-        Timer st;
-        for (std::size_t off = 0; off < stream2.size(); off += kBatchSize) {
-          std::size_t len = std::min(kBatchSize, stream2.size() - off);
-          sharded_engine->ApplyBatch(
-              std::span<const UpdateCmd>(stream2.data() + off, len), bo);
-        }
-        sharded_ns = st.ElapsedNs() / static_cast<double>(stream2.size());
-      }
 
       // Enumeration delay: one full scan of the maintained result.
       double enum_ns = 0.0;
@@ -299,23 +277,18 @@ void PartC(JsonWriter* json) {
                 single_ns / batch_ns);
       json->Add(prefix + ".batch_speedup_vs_pre_refactor",
                 base_ns / batch_ns);
-      json->Add(prefix + ".batch_sharded_ns_per_update", sharded_ns);
-      json->Add(prefix + ".batch_sharded_overhead_vs_batch",
-                sharded_ns / batch_ns);
       json->Add(prefix + ".enum_ns_per_tuple", enum_ns);
 
       t.AddRow({name, std::to_string(base.n), FormatDouble(single_ns, 1),
                 FormatDouble(base_ns, 1),
                 FormatDouble(base_ns / single_ns, 2),
                 FormatDouble(batch_ns, 1),
-                FormatDouble(sharded_ns, 1),
                 FormatDouble(enum_ns, 1)});
     }
   }
   t.Print();
   json->Add("batch.ops_per_batch", kBatchSize);
   json->Add("batch.stream_len", kBatchOps);
-  json->Add("batch.sharded_shards", kShards);
   json->AddString("baseline.provenance",
                   "seed engine (commit b31d933) + identical workload, "
                   "median of repeated runs");

@@ -1,7 +1,7 @@
 // Fuzz harness: structure-aware differential replay of update streams.
 //
-// Bytes decode into a command stream — single inserts/deletes, sharded
-// batches, epoch pins, snapshot drains, checkpoints — applied in
+// Bytes decode into a command stream — single inserts/deletes, batches,
+// epoch pins, snapshot drains, checkpoints — applied in
 // lockstep to the q-tree engine (core::Engine) and the delta-IVM oracle
 // over one of a fixed menu of q-hierarchical queries. At every
 // checkpoint the engines must agree with each other AND with the
@@ -35,7 +35,6 @@
 
 namespace {
 
-using dyncq::BatchOptions;
 using dyncq::Query;
 using dyncq::RelId;
 using dyncq::Tuple;
@@ -150,15 +149,16 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                     "engines disagree whether an update was effective");
         break;
       }
-      case 2: {  // sharded batch, inverse pairs and dups welcome
+      case 2: {  // batch, inverse pairs and dups welcome
         UpdateStream batch;
         const std::size_t n = r.Range(1, 8);
         for (std::size_t i = 0; i < n; ++i) {
           batch.push_back(DecodeCmd(r, *schema));
         }
-        BatchOptions opts;
-        opts.shards = r.Range(1, 2);
-        const std::size_t eff = engine.ApplyBatch(batch, opts);
+        // A retired option byte (the former shard count), still consumed
+        // so the committed corpus decodes to the same op streams.
+        (void)r.Range(1, 2);
+        const std::size_t eff = engine.ApplyBatch(batch);
         FUZZ_ASSERT(eff == oracle.ApplyBatch(batch),
                     "effective-command counts diverged on a batch");
         break;

@@ -3,7 +3,7 @@
 the committed one and fail on throughput regressions.
 
 Supports two formats:
-  * the flat dyncq JsonWriter format (BENCH_e5.json / BENCH_e13.json):
+  * the flat dyncq JsonWriter format (BENCH_e5.json / BENCH_e14.json):
     {"chain.n64000.single_ns_per_update": 123.4, ...}
   * the google-benchmark format (BENCH_e12.json): {"benchmarks":
     [{"name": ..., "cpu_time": ...}, ...]}

@@ -344,15 +344,15 @@ _ITEM_PTR_CONTAINER = re.compile(
     r"(?<!cast<)(?<!cast<const )\bItem\s*\*\s*[,>]"
 )
 
-# (path, line regex, why it is allowed). All three structs are per-batch
-# scratch: the pointers are resolved from handles at the top of one
-# Apply/FinishShardedBatch call and consumed before it returns — they
-# never outlive the batch, so no stale-handle window exists.
+# (path, line regex, why it is allowed). DirtyItem is per-batch scratch:
+# its pointer is resolved from a handle during one ApplyBatch call and
+# consumed by that call's phase B before it returns — it never outlives
+# the batch, so no stale-handle window exists.
 STORED_ITEM_PTR_ALLOWLIST = [
     (
         "src/core/component_engine.h",
-        re.compile(r"\bItem\s*\*\s*(?:item|root)\s*=\s*nullptr\s*;"),
-        "DirtyItem/AtomDelta/RootFixup transient batch scratch",
+        re.compile(r"\bItem\s*\*\s*item\s*=\s*nullptr\s*;"),
+        "DirtyItem transient batch scratch",
     ),
     (
         "src/core/component_engine.h",

@@ -43,9 +43,8 @@ class DeltaIvmEngine final : public DynamicQueryEngine {
 
   bool Apply(const UpdateCmd& cmd) override;
   // Batch entry point: the inherited default — the in-batch fold
-  // followed by a per-tuple delta-join replay. Delta joins share the
-  // result map and the persistent indexes, so BatchOptions.shards is
-  // accepted and applied sequentially.
+  // followed by a per-tuple delta-join replay (delta joins share the
+  // result map and the persistent indexes).
   using DynamicQueryEngine::ApplyBatch;
   Weight Count() override { return result_.size(); }
   bool Answer() override { return result_.size() > 0; }

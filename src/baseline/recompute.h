@@ -29,8 +29,7 @@ class RecomputeEngine final : public DynamicQueryEngine {
 
   bool Apply(const UpdateCmd& cmd) override;
   // Batch entry point: the inherited default (in-batch fold + per-tuple
-  // replay). Updates only dirty the memoized result, so sharding has
-  // nothing to parallelize; BatchOptions.shards is applied sequentially.
+  // replay); updates only dirty the memoized result.
   using DynamicQueryEngine::ApplyBatch;
   Weight Count() override;
   bool Answer() override;

@@ -384,8 +384,8 @@ void ComponentEngine::CaptureSnapshot(ComponentSnapshot* out) const {
   out->dir_cap = 0;
 }
 
-Item* ComponentEngine::AllocItem(std::uint32_t n, std::size_t stripe) {
-  Item* it = pool_.Alloc(n, stripe);
+Item* ComponentEngine::AllocItem(std::uint32_t n) {
+  Item* it = pool_.Alloc(n);
   const NodeMeta& nm = node_meta_[n];
   if (!nm.leaf_slot_strides.empty()) {
     ChildSlot* slots = reinterpret_cast<ChildSlot*>(
@@ -427,13 +427,12 @@ void ComponentEngine::CreateRun(Item* head, Value v) {
   head->run_len = 1;
 }
 
-Item* ComponentEngine::SplitRun(Item* head, std::size_t stripe) {
+Item* ComponentEngine::SplitRun(Item* head) {
   const NodeMeta& hm = node_meta_[head->node];
   const NodeMeta& um =
       node_meta_[static_cast<std::size_t>(hm.absorb_child_node)];
   char* rec = RunRecBase(head);
-  Item* it = AllocItem(static_cast<std::uint32_t>(hm.absorb_child_node),
-                       stripe);
+  Item* it = AllocItem(static_cast<std::uint32_t>(hm.absorb_child_node));
   it->parent = head->self;
   it->value = *reinterpret_cast<Value*>(rec + kRunValueOff);
   it->weight = reinterpret_cast<Weight*>(rec)[0];
@@ -460,7 +459,7 @@ Item* ComponentEngine::SplitRun(Item* head, std::size_t stripe) {
   return it;
 }
 
-void ComponentEngine::MergeRun(Item* head, std::size_t stripe) {
+void ComponentEngine::MergeRun(Item* head) {
   const NodeMeta& hm = node_meta_[head->node];
   const NodeMeta& um =
       node_meta_[static_cast<std::size_t>(hm.absorb_child_node)];
@@ -484,7 +483,7 @@ void ComponentEngine::MergeRun(Item* head, std::size_t stripe) {
               static_cast<std::size_t>(um.num_children) * sizeof(ChildSlot));
   head->run_len = 1;
   vslot.index.Erase(child->value);
-  pool_.Free(child, stripe);
+  pool_.Free(child);
   // Running sums unchanged, as in SplitRun.
 }
 
@@ -542,20 +541,10 @@ void ComponentEngine::DestroyRunSlots(Item* head) {
 }
 
 void ComponentEngine::RunMergePass() {
-  bool any = !seq_merge_cands_.empty();
-  for (const ShardState& sh : shards_) any = any || !sh.merge_cands.empty();
-  if (!any) {
-    seq_freed_.clear();
-    for (ShardState& sh : shards_) sh.freed_log.clear();
-    return;
-  }
-  std::unordered_set<std::uint64_t> freed;
-  for (ItemHandle h : seq_freed_) freed.insert(h.bits());
-  for (const ShardState& sh : shards_) {
-    for (ItemHandle h : sh.freed_log) freed.insert(h.bits());
-  }
-  auto run = [&](std::vector<ItemHandle>& cands) {
-    for (ItemHandle hh : cands) {
+  if (!merge_cands_.empty()) {
+    std::unordered_set<std::uint64_t> freed;
+    for (ItemHandle h : freed_log_) freed.insert(h.bits());
+    for (ItemHandle hh : merge_cands_) {
       // A candidate that died later in the batch must be skipped before
       // resolving: its handle is stale by construction.
       if (freed.count(hh.bits()) != 0) continue;
@@ -564,14 +553,11 @@ void ComponentEngine::RunMergePass() {
       ChildSlot& vslot = *reinterpret_cast<ChildSlot*>(
           reinterpret_cast<char*>(head) + hm.slots_off);
       if (head->run_len != 0 || vslot.index.size() != 1) continue;
-      MergeRun(head, 0);
+      MergeRun(head);
     }
-    cands.clear();
-  };
-  run(seq_merge_cands_);
-  for (ShardState& sh : shards_) run(sh.merge_cands);
-  seq_freed_.clear();
-  for (ShardState& sh : shards_) sh.freed_log.clear();
+    merge_cands_.clear();
+  }
+  freed_log_.clear();
 }
 
 bool ComponentEngine::MatchesAtom(const AtomMeta& am, const Tuple& t) const {
@@ -684,7 +670,7 @@ void ComponentEngine::ApplyAtomDelta(const AtomMeta& am, const Tuple& t,
             v) {
           rec = RunRecBase(head);
         } else {
-          SplitRun(head, /*stripe=*/0);  // second value: materialize
+          SplitRun(head);  // second value: materialize
         }
       } else if (vslot.index.empty()) {
         CreateRun(head, v);  // first value: absorb, no allocation
@@ -810,7 +796,7 @@ void ComponentEngine::ApplyAtomDelta(const AtomMeta& am, const Tuple& t,
           if (node_meta_[head->node].absorb_child_node ==
                   static_cast<int>(freed_node) &&
               head->run_len == 0 && pslot.index.size() == 1) {
-            MergeRun(head, /*stripe=*/0);
+            MergeRun(head);
           }
         }
       }
@@ -835,11 +821,10 @@ void ComponentEngine::ApplyAtomDelta(const AtomMeta& am, const Tuple& t,
 // batch cheaper than its updates applied one by one.
 // ---------------------------------------------------------------------------
 
-void ComponentEngine::MarkDirty(Item* it, int depth,
-                                std::vector<std::vector<DirtyItem>>& dirty) {
+void ComponentEngine::MarkDirty(Item* it, int depth) {
   if (it->batch_stamp == batch_epoch_) return;
   it->batch_stamp = batch_epoch_;
-  dirty[static_cast<std::size_t>(depth)].push_back(
+  dirty_[static_cast<std::size_t>(depth)].push_back(
       DirtyItem{it, it->node, it->weight, it->weight_free});
 }
 
@@ -869,7 +854,7 @@ void ComponentEngine::ApplyBatch(const PendingDelta* deltas, std::size_t n) {
     for (std::uint32_t i : rel_groups_[static_cast<std::size_t>(am.rel_group)]) {
       if (MatchesAtom(am, *deltas[i].tuple)) {
         batch_scratch_.push_back(
-            AtomDelta{deltas[i].tuple, nullptr, i, deltas[i].insert});
+            AtomDelta{deltas[i].tuple, i, deltas[i].insert});
       }
     }
     if (batch_scratch_.empty()) continue;
@@ -879,146 +864,12 @@ void ComponentEngine::ApplyBatch(const PendingDelta* deltas, std::size_t n) {
     // relies on) holds trivially, and the block prefetch sweeps in
     // BatchDescend recover the memory locality a sort would have bought —
     // without the pointer-chasing key comparisons.
-    BatchDescend(am, batch_scratch_, dirty_, /*stripe=*/0,
-                 /*roots_premade=*/false);
+    BatchDescend(am, batch_scratch_);
   }
   if (touched) {
-    FlushDirty(dirty_, /*stripe=*/0, /*defer_roots=*/nullptr,
-               &seq_merge_cands_, &seq_freed_);
+    FlushDirty();
     RunMergePass();
   }
-}
-
-// ---------------------------------------------------------------------------
-// Sharded batch pipeline (BeginShardedBatch / RunShard / FinishShardedBatch).
-//
-// Ownership argument: a §6.4 walk for a delta on atom ψ starts at the
-// root item keyed by the tuple's root value and never leaves that root's
-// subtree — every item it finds, creates, counts, re-weights, or frees,
-// and every child index and fit list it mutates, lives under that root.
-// Routing deltas by Mix64(root value) % k therefore partitions the item
-// forest: two shards never touch the same item, so phase A needs no
-// locks and phase B needs no cross-shard merge. The only shared
-// structures are the root index (made read-only by pre-creating insert
-// roots up front) and the engine-level root slot (fit list + Cstart
-// sums), whose fix-ups are deferred to the sequential finish pass.
-// ---------------------------------------------------------------------------
-
-void ComponentEngine::BeginShardedBatch(const PendingDelta* deltas,
-                                        std::size_t n, std::size_t shards) {
-  DYNCQ_CHECK(shards >= 1);
-  ++batch_epoch_;
-  num_shards_ = shards;
-  pool_.EnsureStripes(shards);
-  // Workers may free items whose blocks belong to another stripe (an
-  // item allocated by an earlier batch's routing); the pool defers the
-  // slot recycling of those frees until EndConcurrent.
-  pool_.BeginConcurrent();
-  if (shards_.size() < shards) {
-    std::size_t old = shards_.size();
-    shards_.resize(shards);
-    for (std::size_t s = old; s < shards; ++s) {
-      shards_[s].atom_deltas.resize(atom_meta_.size());
-      shards_[s].dirty.resize(dirty_.size());
-    }
-  }
-  RouteRelGroups(deltas, n);
-  for (std::size_t ai = 0; ai < atom_meta_.size(); ++ai) {
-    const AtomMeta& am = atom_meta_[ai];
-    for (std::uint32_t i : rel_groups_[static_cast<std::size_t>(am.rel_group)]) {
-      if (!MatchesAtom(am, *deltas[i].tuple)) continue;
-      const Tuple& t = *deltas[i].tuple;
-      const Value v = t[static_cast<std::size_t>(am.read_pos[0])];
-      const std::size_t s = Mix64(v) % shards;
-      // Resolve (and for inserts, create) the root item now, so workers
-      // never touch the shared root index: the probe the sequential
-      // descent would have spent at level 0 happens here instead — one
-      // root probe per delta either way.
-      Item* root;
-      if (deltas[i].insert) {
-        std::uint64_t* slot = root_index_.FindOrInsertSlot(v);
-        if (*slot == 0) {
-          // The fresh item comes from its owner's stripe; its counts
-          // stay zero until that shard's phase A runs.
-          Item* fresh = AllocItem(
-              static_cast<std::uint32_t>(am.level_node[0]), s);
-          fresh->value = v;
-          *slot = fresh->self.bits();
-          root = fresh;
-        } else {
-          root = pool_.Resolve(ItemHandle::FromBits(*slot));
-        }
-      } else {
-        root = pool_.Resolve(ItemHandle::FromBits(root_index_.Find(v)));
-        DYNCQ_CHECK_MSG(root != nullptr,
-                        "sharded delete routed to a missing root");
-      }
-      shards_[s].atom_deltas[ai].push_back(
-          AtomDelta{deltas[i].tuple, root, i, deltas[i].insert});
-    }
-  }
-}
-
-void ComponentEngine::RunShard(std::size_t s) {
-  DYNCQ_DCHECK(s < num_shards_);
-  ShardState& sh = shards_[s];
-  for (std::size_t ai = 0; ai < atom_meta_.size(); ++ai) {
-    std::vector<AtomDelta>& deltas = sh.atom_deltas[ai];
-    if (deltas.empty()) continue;
-    BatchDescend(atom_meta_[ai], deltas, sh.dirty, s,
-                 /*roots_premade=*/true);
-    deltas.clear();
-  }
-  FlushDirty(sh.dirty, s, &sh.root_fixups, &sh.merge_cands, &sh.freed_log);
-}
-
-void ComponentEngine::FinishShardedBatch() {
-  // Workers are joined: leave concurrent mode and fold the deferred
-  // cross-stripe frees back into their blocks before the root pass
-  // (which may free and reallocate root slots itself).
-  pool_.EndConcurrent();
-  for (std::size_t s = 0; s < num_shards_; ++s) {
-    for (const RootFixup& f : shards_[s].root_fixups) {
-      Item* it = f.item;
-      const NodeMeta& nm = node_meta_[it->node];
-      if (!it->in_list && it->weight > 0) {
-        ListPushBack(pool_, root_slot_, it);
-      } else if (it->in_list && it->weight == 0) {
-        ListRemove(pool_, root_slot_, it);
-      }
-      root_slot_.sum += it->weight - f.pre_weight;  // unsigned wrap exact
-      if (nm.is_free) {
-        root_slot_.sum_free += it->weight_free - f.pre_weight_free;
-      }
-
-      // Step 5 at the root: drop roots no atom supports any more (this
-      // also reaps roots pre-created for inserts that a same-batch
-      // delete pattern drained back to zero).
-      bool all_zero = true;
-      const std::uint64_t* counts = ItemCounts(it);
-      for (int c = 0; c < nm.num_tracked; ++c) {
-        if (counts[c] != 0) {
-          all_zero = false;
-          break;
-        }
-      }
-      if (all_zero) {
-        DYNCQ_DCHECK(!it->in_list && it->weight == 0);
-        bool erased = root_index_.Erase(it->value);
-        DYNCQ_CHECK(erased);
-        // Log the free: a root freed here may be a pending re-merge
-        // candidate recorded by its shard's phase B (only eligible
-        // heads can be candidates, so only those reach the log).
-        if (nm.absorb_child_node >= 0) {
-          shards_[s].freed_log.push_back(it->self);
-        }
-        pool_.Free(it, s);
-      }
-    }
-    shards_[s].root_fixups.clear();
-  }
-  num_shards_ = 0;
-  RunMergePass();
 }
 
 // Deltas are consumed in blocks: two prefetch sweeps (root buckets, then
@@ -1027,9 +878,7 @@ void ComponentEngine::FinishShardedBatch() {
 // latency divided by the block's memory-level parallelism rather than a
 // full round-trip per update.
 void ComponentEngine::BatchDescend(const AtomMeta& am,
-                                   const std::vector<AtomDelta>& deltas,
-                                   std::vector<std::vector<DirtyItem>>& dirty,
-                                   std::size_t stripe, bool roots_premade) {
+                                   const std::vector<AtomDelta>& deltas) {
   constexpr std::size_t kBatchBlock = 32;
   const std::size_t ndt =
       static_cast<std::size_t>(am.leaf_inline ? am.d - 1 : am.d);
@@ -1038,36 +887,24 @@ void ComponentEngine::BatchDescend(const AtomMeta& am,
   SmallVector<Value, 8> prev_key;
   for (std::size_t base = 0; base < deltas.size(); base += kBatchBlock) {
     const std::size_t end = std::min(base + kBatchBlock, deltas.size());
-    if (roots_premade) {
-      // Root items are already resolved by the routing pass: one sweep
-      // hints their descent lines directly, no index probes.
-      for (std::size_t i = base; i < end; ++i) {
-        const char* b = reinterpret_cast<const char*>(deltas[i].root);
-        __builtin_prefetch(b + am.level_count_off[0]);
-        if (am.d > 1) __builtin_prefetch(b + am.level_slot_off[1]);
-      }
-    } else {
-      for (std::size_t i = base; i < end; ++i) {
-        root_index_.Prefetch((*deltas[i].tuple)[
-            static_cast<std::size_t>(am.read_pos[0])]);
-      }
-      for (std::size_t i = base; i < end; ++i) {
-        const Item* root = pool_.Resolve(
-            ItemHandle::FromBits(root_index_.Find((*deltas[i].tuple)[
-                static_cast<std::size_t>(am.read_pos[0])])));
-        if (root == nullptr) continue;
-        // Only the two lines the descent itself needs — the weight
-        // fix-up lines are prefetched by FlushDirty's own lookahead, and
-        // issuing them here would exceed the core's miss-level
-        // parallelism.
-        const char* b = reinterpret_cast<const char*>(root);
-        __builtin_prefetch(b + am.level_count_off[0]);
-        if (am.d > 1) __builtin_prefetch(b + am.level_slot_off[1]);
-      }
+    for (std::size_t i = base; i < end; ++i) {
+      root_index_.Prefetch((*deltas[i].tuple)[
+          static_cast<std::size_t>(am.read_pos[0])]);
     }
     for (std::size_t i = base; i < end; ++i) {
-      BatchOneDelta(am, deltas[i], nd, chain, prev_key, dirty, stripe,
-                    roots_premade);
+      const Item* root = pool_.Resolve(
+          ItemHandle::FromBits(root_index_.Find((*deltas[i].tuple)[
+              static_cast<std::size_t>(am.read_pos[0])])));
+      if (root == nullptr) continue;
+      // Only the two lines the descent itself needs — the weight fix-up
+      // lines are prefetched by FlushDirty's own lookahead, and issuing
+      // them here would exceed the core's miss-level parallelism.
+      const char* b = reinterpret_cast<const char*>(root);
+      __builtin_prefetch(b + am.level_count_off[0]);
+      if (am.d > 1) __builtin_prefetch(b + am.level_slot_off[1]);
+    }
+    for (std::size_t i = base; i < end; ++i) {
+      BatchOneDelta(am, deltas[i], nd, chain, prev_key);
     }
   }
 }
@@ -1075,9 +912,7 @@ void ComponentEngine::BatchDescend(const AtomMeta& am,
 void ComponentEngine::BatchOneDelta(const AtomMeta& am, const AtomDelta& ad,
                                     std::size_t nd,
                                     SmallVector<Item*, 8>& chain,
-                                    SmallVector<Value, 8>& prev_key,
-                                    std::vector<std::vector<DirtyItem>>& dirty,
-                                    std::size_t stripe, bool roots_premade) {
+                                    SmallVector<Value, 8>& prev_key) {
   const Tuple& t = *ad.tuple;
   // Longest prefix shared with the previous delta's path.
   std::size_t lcp = 0;
@@ -1090,38 +925,30 @@ void ComponentEngine::BatchOneDelta(const AtomMeta& am, const AtomDelta& ad,
 
   // Descend the unshared suffix (deletes must find their items: the
   // batch fold keeps at most one command per tuple and set semantics
-  // makes an effective delete imply pre-batch presence). In sharded mode
-  // (`roots_premade`) the level-0 probe is a read-only Find for inserts
-  // too — BeginShardedBatch created every root an insert can reach.
+  // makes an effective delete imply pre-batch presence).
   Item* parent = lcp > 0 ? chain[lcp - 1] : nullptr;
   for (std::size_t j = lcp; j < nd; ++j) {
     const Value v = t[static_cast<std::size_t>(am.read_pos[j])];
+    ChildIndex& idx =
+        j == 0 ? root_index_
+               : reinterpret_cast<ChildSlot*>(
+                     reinterpret_cast<char*>(parent) + am.level_slot_off[j])
+                     ->index;
     Item* it;
-    if (j == 0 && roots_premade) {
-      it = ad.root;  // resolved by the routing pass, no index probe
-    } else {
-      ChildIndex& idx =
-          j == 0 ? root_index_
-                 : reinterpret_cast<ChildSlot*>(
-                       reinterpret_cast<char*>(parent) +
-                       am.level_slot_off[j])
-                       ->index;
-      if (ad.insert) {
-        std::uint64_t* slot = idx.FindOrInsertSlot(v);
-        if (*slot == 0) {
-          Item* fresh = AllocItem(
-              static_cast<std::uint32_t>(am.level_node[j]), stripe);
-          fresh->value = v;
-          if (parent != nullptr) fresh->parent = parent->self;
-          *slot = fresh->self.bits();
-          it = fresh;
-        } else {
-          it = pool_.Resolve(ItemHandle::FromBits(*slot));
-        }
+    if (ad.insert) {
+      std::uint64_t* slot = idx.FindOrInsertSlot(v);
+      if (*slot == 0) {
+        Item* fresh = AllocItem(static_cast<std::uint32_t>(am.level_node[j]));
+        fresh->value = v;
+        if (parent != nullptr) fresh->parent = parent->self;
+        *slot = fresh->self.bits();
+        it = fresh;
       } else {
-        it = pool_.Resolve(ItemHandle::FromBits(idx.Find(v)));
-        DYNCQ_CHECK_MSG(it != nullptr, "batch walk hit a missing item");
+        it = pool_.Resolve(ItemHandle::FromBits(*slot));
       }
+    } else {
+      it = pool_.Resolve(ItemHandle::FromBits(idx.Find(v)));
+      DYNCQ_CHECK_MSG(it != nullptr, "batch walk hit a missing item");
     }
     chain.push_back(it);
     prev_key.push_back(v);
@@ -1132,7 +959,7 @@ void ComponentEngine::BatchOneDelta(const AtomMeta& am, const AtomDelta& ad,
   // fixed up in phase B.
   for (std::size_t j = 0; j < nd; ++j) {
     Item* it = chain[j];
-    MarkDirty(it, static_cast<int>(j), dirty);
+    MarkDirty(it, static_cast<int>(j));
     std::uint64_t& count = *reinterpret_cast<std::uint64_t*>(
         reinterpret_cast<char*>(it) + am.level_count_off[j]);
     if (ad.insert) {
@@ -1162,10 +989,10 @@ void ComponentEngine::BatchOneDelta(const AtomMeta& am, const AtomDelta& ad,
             v) {
           rec = RunRecBase(head);
         } else {
-          Item* split = SplitRun(head, stripe);
+          Item* split = SplitRun(head);
           if (split->batch_stamp != batch_epoch_) {
             split->batch_stamp = batch_epoch_;
-            dirty[nd].push_back(DirtyItem{split, split->node,
+            dirty_[nd].push_back(DirtyItem{split, split->node,
                                           split->weight,
                                           split->weight_free});
           }
@@ -1178,7 +1005,7 @@ void ComponentEngine::BatchOneDelta(const AtomMeta& am, const AtomDelta& ad,
         std::uint64_t* slot = vslot.index.FindOrInsertSlot(v);
         if (*slot == 0) {
           Item* fresh = AllocItem(
-              static_cast<std::uint32_t>(am.level_node[nd]), stripe);
+              static_cast<std::uint32_t>(am.level_node[nd]));
           fresh->value = v;
           fresh->parent = head->self;
           *slot = fresh->self.bits();
@@ -1212,7 +1039,7 @@ void ComponentEngine::BatchOneDelta(const AtomMeta& am, const AtomDelta& ad,
                   reinterpret_cast<char*>(tail_item) +
                   am.level_count_off[nd]);
     if (tail_item != nullptr) {
-      MarkDirty(tail_item, static_cast<int>(nd), dirty);
+      MarkDirty(tail_item, static_cast<int>(nd));
     }
     if (ad.insert) {
       ++count;
@@ -1332,29 +1159,10 @@ void ComponentEngine::FlipLeafEntry(const AtomMeta& am, ChildSlot& slot,
   }
 }
 
-void ComponentEngine::FlushDirty(std::vector<std::vector<DirtyItem>>& dirty,
-                                 std::size_t stripe,
-                                 std::vector<RootFixup>* defer_roots,
-                                 std::vector<ItemHandle>* merge_cands,
-                                 std::vector<ItemHandle>* freed_log) {
+void ComponentEngine::FlushDirty() {
   constexpr std::size_t kLookahead = 8;
-  for (std::size_t depth = dirty.size(); depth-- > 0;) {
-    std::vector<DirtyItem>& level = dirty[depth];
-    if (depth == 0 && defer_roots != nullptr) {
-      // Sharded mode: the root slot (fit list + Cstart sums) and root
-      // index are shared across shards, so depth-0 items only get their
-      // weights finalized here (their children — same shard — are
-      // already flushed); the slot fix-up and root deletion run in
-      // FinishShardedBatch.
-      for (const DirtyItem& d : level) {
-        MaintainRun(d.item);
-        RecomputeWeights(d.item, node_meta_[d.node]);
-        defer_roots->push_back(
-            RootFixup{d.item, d.pre_weight, d.pre_weight_free});
-      }
-      level.clear();
-      continue;
-    }
+  for (std::size_t depth = dirty_.size(); depth-- > 0;) {
+    std::vector<DirtyItem>& level = dirty_[depth];
     for (std::size_t i = 0; i < level.size(); ++i) {
       if (i + kLookahead < level.size()) {
         const DirtyItem& ahead = level[i + kLookahead];
@@ -1403,8 +1211,8 @@ void ComponentEngine::FlushDirty(std::vector<std::vector<DirtyItem>>& dirty,
         DYNCQ_CHECK(erased);
         // Only absorb-eligible heads can be pending merge candidates, so
         // only their frees need to reach the merge pass's freed set.
-        if (nm.absorb_child_node >= 0) freed_log->push_back(it->self);
-        pool_.Free(it, stripe);
+        if (nm.absorb_child_node >= 0) freed_log_.push_back(it->self);
+        pool_.Free(it);
         // Re-merge candidate: the erase left the parent with a single
         // materialized child of an absorbable node. Deferred to the
         // post-batch RunMergePass — the lone sibling may itself be a
@@ -1413,7 +1221,7 @@ void ComponentEngine::FlushDirty(std::vector<std::vector<DirtyItem>>& dirty,
             node_meta_[parent->node].absorb_child_node ==
                 static_cast<int>(freed_node) &&
             parent->run_len == 0 && pslot.index.size() == 1) {
-          merge_cands->push_back(parent->self);
+          merge_cands_.push_back(parent->self);
         }
       }
     }

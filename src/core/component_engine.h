@@ -100,27 +100,6 @@ class ComponentEngine {
   /// (bottom-up) instead of once per update.
   void ApplyBatch(const PendingDelta* deltas, std::size_t n);
 
-  /// Sharded batched §6.4. A delta's whole walk stays inside the subtree
-  /// under its root value, so deltas are routed to shards by
-  /// Mix64(root value) % k and shards never touch each other's items —
-  /// phase B is merge-free per shard. Protocol:
-  ///  1. BeginShardedBatch: routes the effective deltas into per-shard,
-  ///     per-atom queues and pre-creates every root item an insert delta
-  ///     will reach, so the shared root index is strictly read-only
-  ///     while workers run (main thread).
-  ///  2. RunShard(s): phase-A descents plus phase-B fix-ups for every
-  ///     depth below the root; root items get their weights recomputed
-  ///     but their root-slot fix-up deferred. Safe to call from k
-  ///     threads concurrently, one distinct shard each.
-  ///  3. FinishShardedBatch: replays the deferred root-level fit-list /
-  ///     running-sum fix-ups and root deletions in shard order — the
-  ///     root fit list and root index are the only structures shared
-  ///     across shards (main thread, after joining the workers).
-  void BeginShardedBatch(const PendingDelta* deltas, std::size_t n,
-                         std::size_t shards);
-  void RunShard(std::size_t s);
-  void FinishShardedBatch();
-
   /// Pre-sizes the root index for `n` distinct root values (bulk load).
   void ReserveRoot(std::size_t n) { root_index_.Reserve(n); }
 
@@ -339,42 +318,10 @@ class ComponentEngine {
   };
 
   /// One delta routed to a specific atom during a batch (phase A input).
-  /// In sharded mode the routing pass resolves (and for inserts,
-  /// creates) the root item up front and stores it here, so the worker's
-  /// descent never probes the shared root index — one root probe per
-  /// delta total, the same as the sequential pipeline.
   struct AtomDelta {
     const Tuple* tuple = nullptr;
-    Item* root = nullptr;   // pre-resolved root (sharded mode only)
     std::uint32_t seq = 0;  // original batch position (stable tie-break)
     bool insert = true;
-  };
-
-  /// Deferred root-level (depth-0) phase-B fix-up. The owning shard has
-  /// already recomputed the item's weights; FinishShardedBatch applies
-  /// the root-slot list/sum mutation against the recorded pre-batch
-  /// weights.
-  struct RootFixup {
-    Item* item = nullptr;
-    Weight pre_weight = 0;
-    Weight pre_weight_free = 0;
-  };
-
-  /// Everything one shard worker owns during a sharded batch.
-  /// Cache-line aligned: adjacent shards' vector headers are mutated on
-  /// every MarkDirty/push_back of concurrent workers, so letting them
-  /// share a line would coherence-ping-pong the phase-A/B hot loop on a
-  /// multi-core host.
-  struct alignas(64) ShardState {
-    std::vector<std::vector<AtomDelta>> atom_deltas;  // per atom index
-    std::vector<std::vector<DirtyItem>> dirty;        // per q-tree depth
-    std::vector<RootFixup> root_fixups;
-    // Path compression: heads whose child index dropped to one entry in
-    // phase B (re-merge candidates, applied after the batch) and every
-    // item freed this batch (a candidate that was itself freed later in
-    // the batch must be skipped, not resolved — its handle is stale).
-    std::vector<ItemHandle> merge_cands;
-    std::vector<ItemHandle> freed_log;
   };
 
   void FreeSubtree(Item* it);
@@ -386,7 +333,7 @@ class ComponentEngine {
 
   /// Pool allocation plus per-node slot configuration (strided-leaf
   /// tables get their record width set before first use).
-  Item* AllocItem(std::uint32_t n, std::size_t stripe = 0);
+  Item* AllocItem(std::uint32_t n);
 
   // ---- Path-compressed run records (fanout-1 nodes) -------------------
   // A head item `it` (node with absorb_child_node >= 0) with run_len == 1
@@ -407,10 +354,10 @@ class ComponentEngine {
   /// Materializes the absorbed child as a real item in `head`'s child
   /// index (run record moves into the new block, fit list rebuilt from
   /// its weight). Called when a second child value appears.
-  Item* SplitRun(Item* head, std::size_t stripe);
+  Item* SplitRun(Item* head);
   /// Absorbs the single remaining child item back into `head`'s record
   /// and frees it. Requires run_len == 0 and exactly one index entry.
-  void MergeRun(Item* head, std::size_t stripe);
+  void MergeRun(Item* head);
   /// Recomputes the absorbed child's weights from its counts and slot
   /// sums and re-publishes them as head's child-slot running sums; drops
   /// the record entirely once all its counts reach zero. No-op when
@@ -419,35 +366,22 @@ class ComponentEngine {
   /// Destroys the record's ChildSlot objects and re-zeroes the region.
   void DestroyRunSlots(Item* head);
   /// Applies the deferred re-merges of a batch: every candidate that is
-  /// still alive (not in the freed logs) and still has exactly one child
-  /// is re-absorbed.
+  /// still alive (not in freed_log_) and still has exactly one child is
+  /// re-absorbed.
   void RunMergePass();
   /// Routes `deltas` into rel_groups_ (per-relation index lists).
   void RouteRelGroups(const PendingDelta* deltas, std::size_t n);
-  /// Phase A over one atom's delta list. `stripe` selects the ItemPool
-  /// stripe for fresh items; with `roots_premade` the level-0 probe is a
-  /// read-only Find (sharded mode — roots were created up front).
+  /// Phase A over one atom's delta list.
   void BatchDescend(const AtomMeta& am,
-                    const std::vector<AtomDelta>& deltas,
-                    std::vector<std::vector<DirtyItem>>& dirty,
-                    std::size_t stripe, bool roots_premade);
+                    const std::vector<AtomDelta>& deltas);
   void BatchOneDelta(const AtomMeta& am, const AtomDelta& ad,
                      std::size_t nd, SmallVector<Item*, 8>& chain,
-                     SmallVector<Value, 8>& prev_key,
-                     std::vector<std::vector<DirtyItem>>& dirty,
-                     std::size_t stripe, bool roots_premade);
-  /// Phase B over `dirty`, deepest level first. With `defer_roots` set,
-  /// depth-0 items only get their weights recomputed and are appended to
-  /// `defer_roots` (sharded mode); otherwise the root-slot fix-up runs
-  /// inline (sequential mode). Re-merge candidates and freed items are
-  /// logged into `merge_cands` / `freed_log` for the post-batch
-  /// RunMergePass.
-  void FlushDirty(std::vector<std::vector<DirtyItem>>& dirty,
-                  std::size_t stripe, std::vector<RootFixup>* defer_roots,
-                  std::vector<ItemHandle>* merge_cands,
-                  std::vector<ItemHandle>* freed_log);
-  void MarkDirty(Item* it, int depth,
-                 std::vector<std::vector<DirtyItem>>& dirty);
+                     SmallVector<Value, 8>& prev_key);
+  /// Phase B over dirty_, deepest level first. Re-merge candidates and
+  /// freed items are logged into merge_cands_ / freed_log_ for the
+  /// post-batch RunMergePass.
+  void FlushDirty();
+  void MarkDirty(Item* it, int depth);
   void RecomputeWeights(Item* it, const NodeMeta& nm) const;
   void DumpItem(std::ostream& os, const Item* it, int indent) const;
   void DumpLeafSlot(std::ostream& os, const ChildSlot& slot, int child_node,
@@ -475,13 +409,12 @@ class ComponentEngine {
   // Indexed by atoms_of_rel_'s dense order (AtomMeta::rel_group).
   std::vector<std::vector<std::uint32_t>> rel_groups_;  // rel group -> deltas
   std::vector<std::vector<DirtyItem>> dirty_;  // per q-tree depth
-  std::vector<ItemHandle> seq_merge_cands_;    // sequential-batch scratch
-  std::vector<ItemHandle> seq_freed_;
-
-  // Sharded pipeline state (scratch, reused across batches). Worker s
-  // only ever touches shards_[s] (and items under its own roots).
-  std::size_t num_shards_ = 0;  // of the batch in flight
-  std::vector<ShardState> shards_;
+  // Path compression: heads whose child index dropped to one entry in
+  // phase B (re-merge candidates, applied after the batch) and every
+  // item freed this batch (a candidate that was itself freed later in
+  // the batch must be skipped, not resolved — its handle is stale).
+  std::vector<ItemHandle> merge_cands_;
+  std::vector<ItemHandle> freed_log_;
 };
 
 }  // namespace dyncq::core

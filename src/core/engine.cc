@@ -1,80 +1,15 @@
 #include "core/engine.h"
 
 #include <algorithm>
-#include <functional>
 #include <ostream>
-#include <thread>
 
 #include "core/cursor.h"
 #include "cq/qtree.h"
 #include "util/check.h"
 #include "util/failpoint.h"
 #include "util/mutex.h"
-#include "util/thread_annotations.h"
 
 namespace dyncq::core {
-
-// Parked shard workers. Run(fn) executes fn(s) for every worker s and
-// returns once all are done; between runs the workers wait on a
-// generation counter, so a sharded batch costs one condvar wakeup
-// instead of k thread spawns.
-class Engine::ShardPool {
- public:
-  explicit ShardPool(std::size_t k) {
-    threads_.reserve(k);
-    for (std::size_t s = 0; s < k; ++s) {
-      threads_.emplace_back([this, s] { Loop(s); });
-    }
-  }
-
-  ~ShardPool() {
-    mu_.Lock();
-    stop_ = true;
-    mu_.Unlock();
-    wake_.NotifyAll();
-    for (auto& t : threads_) t.join();
-  }
-
-  std::size_t size() const { return threads_.size(); }
-
-  void Run(const std::function<void(std::size_t)>& fn) {
-    util::MutexLock lock(&mu_);
-    fn_ = &fn;
-    ++generation_;
-    pending_ = threads_.size();
-    wake_.NotifyAll();
-    // Explicit condition loop (not a wait-predicate lambda): the
-    // analysis sees the guarded pending_ read under the held mu_.
-    while (pending_ != 0) done_.Wait(&mu_);
-    fn_ = nullptr;
-  }
-
- private:
-  void Loop(std::size_t s) {
-    std::uint64_t seen = 0;
-    mu_.Lock();
-    while (true) {
-      while (!stop_ && generation_ == seen) wake_.Wait(&mu_);
-      if (stop_) break;
-      seen = generation_;
-      const std::function<void(std::size_t)>* fn = fn_;
-      mu_.Unlock();
-      (*fn)(s);
-      mu_.Lock();
-      if (--pending_ == 0) done_.NotifyOne();
-    }
-    mu_.Unlock();
-  }
-
-  util::Mutex mu_;
-  util::CondVar wake_;
-  util::CondVar done_;
-  std::vector<std::thread> threads_;
-  const std::function<void(std::size_t)>* fn_ DYNCQ_GUARDED_BY(mu_) = nullptr;
-  std::uint64_t generation_ DYNCQ_GUARDED_BY(mu_) = 0;
-  std::size_t pending_ DYNCQ_GUARDED_BY(mu_) = 0;
-  bool stop_ DYNCQ_GUARDED_BY(mu_) = false;
-};
 
 // A pinned structural version: per component, the root fit-list anchors
 // and the block directory captured at pin time (which the version owns
@@ -388,11 +323,6 @@ Result<std::shared_ptr<EngineSnapshot>> Engine::CaptureSnapshot() {
   // so re-establish the capability for the armed_version_ writes below.
   snap_mu_.AssertHeld();
   DYNCQ_ALLOC_FAILPOINT();
-  if (sharded_batch_open_) {
-    return R::Error(
-        "PinEpoch: cannot pin while a sharded batch is open (pins must be "
-        "synchronized with writes)");
-  }
   // At most one unfrozen version exists: a previously armed version was
   // either forked off by the write that then bumped the revision, or it
   // died (disarming); and a re-pin of a registered epoch never reaches
@@ -471,8 +401,7 @@ bool Engine::Apply(const UpdateCmd& cmd) {
   return true;
 }
 
-std::size_t Engine::ApplyBatch(std::span<const UpdateCmd> cmds,
-                               const BatchOptions& opts) {
+std::size_t Engine::ApplyBatch(std::span<const UpdateCmd> cmds) {
   DYNCQ_CHECK_MSG(owned_db_ != nullptr,
                   "ApplyBatch: shared-storage engines are fed through their "
                   "registry's write protocol");
@@ -507,38 +436,9 @@ std::size_t Engine::ApplyBatch(std::span<const UpdateCmd> cmds,
   BumpRevision();
   // Every component sees the full effective list; deltas whose relation
   // has no atom in a component are skipped inside its per-atom routing.
-  // While a version is alive the batch takes one stripe: two shard
-  // workers could otherwise race to copy the same shared block.
-  const std::size_t k = cow_on_ ? 1 : opts.shards;
-  if (k <= 1) {
-    for (const auto& c : components_) {
-      c->ApplyBatch(pending_.data(), pending_.size());
-    }
-    return pending_.size();
-  }
-
-  // Sharded path: route + root pre-creation on this thread, then one
-  // worker per shard runs phase A and the merge-free per-shard phase B
-  // across ALL components (component structures are disjoint), and the
-  // deferred root-level fix-ups replay sequentially after the join.
-  // While the shard protocol is in flight the structure is mid-mutation
-  // across threads, so CaptureSnapshot refuses pins (scope-guarded in
-  // case a worker throws).
-  struct BatchOpenGuard {
-    bool& flag;
-    ~BatchOpenGuard() { flag = false; }
-  } batch_open_guard{sharded_batch_open_};
-  sharded_batch_open_ = true;
   for (const auto& c : components_) {
-    c->BeginShardedBatch(pending_.data(), pending_.size(), k);
+    c->ApplyBatch(pending_.data(), pending_.size());
   }
-  if (shard_pool_ == nullptr || shard_pool_->size() != k) {
-    shard_pool_ = std::make_unique<ShardPool>(k);
-  }
-  shard_pool_->Run([this](std::size_t s) {
-    for (const auto& c : components_) c->RunShard(s);
-  });
-  for (const auto& c : components_) c->FinishShardedBatch();
   return pending_.size();
 }
 

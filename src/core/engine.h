@@ -60,7 +60,7 @@ class Engine final : public DynamicQueryEngine {
       const Query& q, Database* shared,
       const EngineTuning& tuning = EngineTuning{});
 
-  ~Engine() override;  // joins the shard worker pool, if one was started
+  ~Engine() override;  // destroys registered versions first
 
   const Query& query() const override { return query_; }
   const Database& db() const override { return *db_; }
@@ -92,18 +92,8 @@ class Engine final : public DynamicQueryEngine {
   /// (BatchFolder — in-batch inverse pairs cost zero relation probes),
   /// dedups the remaining no-ops through the database's set semantics,
   /// bumps the revision once, and hands every component the effective
-  /// deltas. With `opts.shards == 1` the components run the sequential
-  /// shared-descent pass (the deterministic fallback); with `k > 1` the
-  /// phase-A descents are routed by root value onto `k` worker threads
-  /// with a merge-free per-shard phase B (see ComponentEngine's sharded
-  /// protocol) — equivalent final state, thread-count-dependent fit-list
-  /// order. While a pinned version is alive the batch runs on one
-  /// stripe whatever `opts.shards` says (copy-on-write is single-writer).
-  std::size_t ApplyBatch(std::span<const UpdateCmd> cmds,
-                         const BatchOptions& opts) override;
-  std::size_t ApplyBatch(std::span<const UpdateCmd> cmds) override {
-    return ApplyBatch(cmds, BatchOptions{});
-  }
+  /// deltas, which each runs through its shared-descent pass.
+  std::size_t ApplyBatch(std::span<const UpdateCmd> cmds) override;
 
   /// Linear-time preprocessing (§6.4): reserves relations and root child
   /// indexes from the input sizes, then replays the initial database
@@ -178,12 +168,6 @@ class Engine final : public DynamicQueryEngine {
   /// (test/telemetry hook; see ItemPool::retired_blocks).
   std::size_t RetiredBlocks() const;
 
-  /// Forces the "sharded batch open" flag CaptureSnapshot rejects pins
-  /// under. The real flag is only ever set transiently inside ApplyBatch
-  /// (pins are externally synchronized with writes), so tests use this
-  /// to exercise the misuse error.
-  void SetShardedBatchOpenForTest(bool open) { sharded_batch_open_ = open; }
-
  protected:
   /// O(1) snapshot capture: records each component's root fit-list
   /// anchors and arms the write path to fork the version off before the
@@ -238,11 +222,6 @@ class Engine final : public DynamicQueryEngine {
   /// version. False if none is safe to free (an epoch-0 version lives).
   bool ReclaimWatermark(std::uint64_t* wm) const;
 
-  /// Persistent shard workers: parked between batches so a sharded
-  /// ApplyBatch pays a wakeup, not k thread spawns. Lazily started by
-  /// the first `shards > 1` batch and resized if `shards` changes.
-  class ShardPool;
-
   /// Cursor for one component (range-restricted at the pivot).
   std::unique_ptr<Cursor> NewComponentCursor(std::size_t c,
                                              ItemHandle root_begin,
@@ -263,7 +242,6 @@ class Engine final : public DynamicQueryEngine {
   std::vector<PendingDelta> pending_;  // batch scratch
   BatchFolder folder_;                 // batch scratch
   std::vector<std::uint32_t> kept_;    // batch scratch
-  std::unique_ptr<ShardPool> shard_pool_;
   bool has_free_component_ = false;  // some component has free vars
 
   // Snapshot fork state. fork_armed_ is the write path's lock-free fast
@@ -282,11 +260,6 @@ class Engine final : public DynamicQueryEngine {
   std::atomic<std::size_t> live_versions_{0};
   // Writer-thread-only: copy-on-write was on for the last write.
   bool cow_on_ = false;
-  // Writer-thread-only (set transiently inside a sharded ApplyBatch;
-  // pins are externally synchronized with writes, so CaptureSnapshot —
-  // which runs under snap_mu_ on the writer's call stack — reads it
-  // race-free). Not a lock contract, hence no annotation: TSan owns it.
-  bool sharded_batch_open_ = false;
 };
 
 }  // namespace dyncq::core

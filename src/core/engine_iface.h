@@ -158,15 +158,11 @@ class DynamicQueryEngine {
   /// after folding (every engine folds with the same rule, so the counts
   /// stay comparable across engines). Engines with a real batch pipeline
   /// (core::Engine) override this to additionally group deltas per
-  /// relation/atom, share root-path descents, and optionally shard phase
-  /// A across threads (BatchOptions.shards); the default is the
-  /// per-tuple fallback used by the recompute / delta-IVM baselines,
-  /// which applies sequentially regardless of `opts.shards`. For
-  /// unordered-intention semantics (inverse pairs annihilating entirely)
-  /// stage through UpdateBatch (core/session.h) instead.
-  virtual std::size_t ApplyBatch(std::span<const UpdateCmd> cmds,
-                                 const BatchOptions& opts) {
-    (void)opts;  // fallback engines have no sharded pipeline
+  /// relation/atom and share root-path descents; the default is the
+  /// per-tuple fallback used by the recompute / delta-IVM baselines.
+  /// For unordered-intention semantics (inverse pairs annihilating
+  /// entirely) stage through UpdateBatch (core/session.h) instead.
+  virtual std::size_t ApplyBatch(std::span<const UpdateCmd> cmds) {
     BatchFolder folder;
     std::vector<std::uint32_t> kept;
     std::size_t effective = 0;
@@ -180,11 +176,6 @@ class DynamicQueryEngine {
       }
     }
     return effective;
-  }
-
-  /// Single-argument convenience: sequential (shards = 1) application.
-  virtual std::size_t ApplyBatch(std::span<const UpdateCmd> cmds) {
-    return ApplyBatch(cmds, BatchOptions{});
   }
 
   /// Preloads an initial database (the paper's preprocessing phase).
@@ -243,9 +234,8 @@ class DynamicQueryEngine {
 
   /// Pins the current epoch and returns it. Repeated pins of one epoch
   /// nest (each needs its own UnpinEpoch) up to a per-epoch limit;
-  /// exceeding it is a typed error, as is pinning mid-write (e.g. under
-  /// an open sharded batch). On failure — including an allocation
-  /// failure while capturing — no epoch is registered.
+  /// exceeding it is a typed error. On failure — including an
+  /// allocation failure while capturing — no epoch is registered.
   [[nodiscard]] Result<std::uint64_t> PinEpoch();
 
   /// Releases one pin of `epoch`. The epoch's snapshot is destroyed
@@ -288,9 +278,6 @@ class DynamicQueryEngine {
   /// pipeline when the engine has one).
   std::size_t ApplyAll(const UpdateStream& stream) {
     return ApplyBatch(std::span<const UpdateCmd>(stream));
-  }
-  std::size_t ApplyAll(const UpdateStream& stream, const BatchOptions& opts) {
-    return ApplyBatch(std::span<const UpdateCmd>(stream), opts);
   }
 
  protected:

@@ -20,6 +20,7 @@ ItemPool::ItemPool(std::vector<std::size_t> num_children,
   slot_size_.resize(num_children_.size());
   size_class_.resize(num_children_.size());
   run_slots_.resize(num_children_.size());
+  partial_head_.assign(num_children_.size(), 0);
   std::uint32_t max_cls = 0;
   for (std::size_t n = 0; n < num_children_.size(); ++n) {
     std::size_t sz = ItemSlotsOffset(num_atoms_[n]) +
@@ -42,7 +43,6 @@ ItemPool::ItemPool(std::vector<std::size_t> num_children,
     reuse_.resize(max_cls + 1);
     GrowDirectory(0);
   }
-  EnsureStripes(1);
 }
 
 ItemPool::~ItemPool() {
@@ -58,16 +58,6 @@ ItemPool::~ItemPool() {
     }
   }
   ::operator delete(dir);
-  for (BlockRef* old : old_dirs_) ::operator delete(old);
-}
-
-void ItemPool::EnsureStripes(std::size_t k) {
-  if (k <= stripes_.size()) return;
-  std::size_t old = stripes_.size();
-  stripes_.resize(k);
-  for (std::size_t s = old; s < k; ++s) {
-    stripes_[s].partial_head.assign(slot_size_.size(), 0);
-  }
 }
 
 void ItemPool::GrowDirectory(std::uint32_t bid) {
@@ -79,15 +69,13 @@ void ItemPool::GrowDirectory(std::uint32_t bid) {
       static_cast<BlockRef*>(::operator new(cap * sizeof(BlockRef)));
   for (std::size_t i = 0; i < cap; ++i) new (fresh + i) BlockRef();
   BlockRef* old = dir_.load(std::memory_order_relaxed);
-  if (old != nullptr) {
-    std::memcpy(fresh, old, dir_cap_ * sizeof(BlockRef));
-    // Grown-out copies stay alive until destruction: a shard worker
-    // that loaded the old array may still be resolving through it.
-    old_dirs_.push_back(old);
-    old_dir_bytes_ += dir_cap_ * sizeof(BlockRef);
-  }
+  if (old != nullptr) std::memcpy(fresh, old, dir_cap_ * sizeof(BlockRef));
   dir_.store(fresh, std::memory_order_release);
   dir_cap_ = cap;
+  // Nothing else references the grown-out array: a pinned version was
+  // forked onto its own array by the write prologue that precedes every
+  // allocation (Engine::PrepareWrite).
+  ::operator delete(old);
 }
 
 std::size_t ItemPool::Fork(const BlockRef* frozen) {
@@ -190,14 +178,13 @@ void ItemPool::FreeRetiredSlab(char* slab) {
   slab_bytes_ -= bytes;
 }
 
-std::uint32_t ItemPool::AcquireBlock(std::uint32_t n, std::size_t stripe) {
+std::uint32_t ItemPool::AcquireBlock(std::uint32_t n) {
   const std::uint32_t bid = TakeBlock(n);
-  // (Re)initialize for (n, stripe): one all-free run covering the block.
+  // (Re)initialize for node n: one all-free run covering the block.
   // Outside dir_mu_: linking may copy the old partial head.
   const BlockRef& r = RefOf(bid);
   BlockHdr* hdr = HdrOf(r);
   hdr->node = n;
-  hdr->stripe = static_cast<std::uint32_t>(stripe);
   hdr->occupied = 0;
   std::memset(hdr->skip, 0, sizeof(hdr->skip));
   hdr->skip[0] = static_cast<std::uint8_t>(kItemsPerBlock);
@@ -207,7 +194,7 @@ std::uint32_t ItemPool::AcquireBlock(std::uint32_t n, std::size_t stripe) {
   run->next = -1;
   run->prev = -1;
   hdr->in_partial = 0;
-  LinkPartial(stripes_[stripe], n, bid);
+  LinkPartial(n, bid);
   return bid;
 }
 
@@ -283,27 +270,26 @@ void ItemPool::ReleaseBlock(std::uint32_t bid) {
   ::operator delete(slab);
 }
 
-void ItemPool::LinkPartial(Stripe& st, std::uint32_t n, std::uint32_t bid) {
-  if (st.partial_head[n] != 0) {
-    HdrOf(MutRef(st.partial_head[n]))->prev_partial = bid;
+void ItemPool::LinkPartial(std::uint32_t n, std::uint32_t bid) {
+  if (partial_head_[n] != 0) {
+    HdrOf(MutRef(partial_head_[n]))->prev_partial = bid;
   }
   BlockHdr* hdr = HdrOf(MutRef(bid));
   DYNCQ_DCHECK(hdr->in_partial == 0);
-  hdr->next_partial = st.partial_head[n];
+  hdr->next_partial = partial_head_[n];
   hdr->prev_partial = 0;
-  st.partial_head[n] = bid;
+  partial_head_[n] = bid;
   hdr->in_partial = 1;
 }
 
-void ItemPool::UnlinkPartial(Stripe& st, std::uint32_t n,
-                             std::uint32_t bid) {
+void ItemPool::UnlinkPartial(std::uint32_t n, std::uint32_t bid) {
   BlockHdr* hdr = HdrOf(MutRef(bid));
   DYNCQ_DCHECK(hdr->in_partial == 1);
   // A neighbor is a different block, so copying it leaves hdr valid.
   if (hdr->prev_partial != 0) {
     HdrOf(MutRef(hdr->prev_partial))->next_partial = hdr->next_partial;
   } else {
-    st.partial_head[n] = hdr->next_partial;
+    partial_head_[n] = hdr->next_partial;
   }
   if (hdr->next_partial != 0) {
     HdrOf(MutRef(hdr->next_partial))->prev_partial = hdr->prev_partial;
@@ -395,16 +381,14 @@ void ItemPool::EraseSlot(const BlockRef& r, BlockHdr* hdr,
   --hdr->occupied;
 }
 
-Item* ItemPool::Alloc(std::uint32_t n, std::size_t stripe) {
+Item* ItemPool::Alloc(std::uint32_t n) {
   DYNCQ_DCHECK(n < slot_size_.size());
-  DYNCQ_DCHECK(stripe < stripes_.size());
-  Stripe& st = stripes_[stripe];
-  std::uint32_t bid = st.partial_head[n];
-  if (bid == 0) bid = AcquireBlock(n, stripe);
+  std::uint32_t bid = partial_head_[n];
+  if (bid == 0) bid = AcquireBlock(n);
   const BlockRef& r = MutRef(bid);
   BlockHdr* hdr = HdrOf(r);
   const std::uint32_t slot = PopSlot(r, hdr);
-  if (hdr->free_run_head < 0) UnlinkPartial(st, n, bid);  // block now full
+  if (hdr->free_run_head < 0) UnlinkPartial(n, bid);  // block now full
   char* base = r.items + std::size_t{slot} * r.pitch;
   std::memset(base, 0, r.pitch);
   Item* it = new (base) Item();
@@ -419,7 +403,7 @@ Item* ItemPool::Alloc(std::uint32_t n, std::size_t stripe) {
   for (std::size_t c = 0; c < num_children_[n]; ++c) {
     new (slots + c) ChildSlot();
   }
-  ++st.live;
+  ++live_;
   return it;
 }
 
@@ -434,13 +418,13 @@ void ItemPool::DestroyChildSlots(Item* it) {
   }
 }
 
-void ItemPool::Free(Item* it, std::size_t stripe) {
-  DYNCQ_DCHECK(stripe < stripes_.size());
+void ItemPool::Free(Item* it) {
   const ItemHandle h = it->self;
   DYNCQ_DCHECK(static_cast<bool>(h));
   const std::uint32_t idx = h.idx();
+  const std::uint32_t bid = idx >> ItemHandle::kSlotBits;
   const std::uint32_t slot = idx & ItemHandle::kSlotMask;
-  const BlockRef& r = MutRef(idx >> ItemHandle::kSlotBits);
+  const BlockRef& r = MutRef(bid);
   BlockHdr* hdr = HdrOf(r);
 #if DYNCQ_CHECKED_HANDLES
   DYNCQ_CHECK_MSG(hdr->gens[slot] == h.gen(),
@@ -453,25 +437,9 @@ void ItemPool::Free(Item* it, std::size_t stripe) {
   DestroyChildSlots(it);
   it->~Item();
   ++hdr->gens[slot];
-  --stripes_[stripe].live;
-  if (hdr->stripe != stripe &&
-      concurrent_.load(std::memory_order_relaxed)) {
-    // Cross-stripe free during a sharded batch: the destructors and the
-    // generation bump above touched only item-owned state; the block
-    // bookkeeping belongs to the owning stripe's thread, so defer it.
-    stripes_[stripe].deferred.push_back(idx);
-    return;
-  }
-  FreeSlotInternal(idx);
-}
-
-void ItemPool::FreeSlotInternal(std::uint32_t idx) {
-  const std::uint32_t bid = idx >> ItemHandle::kSlotBits;
-  const BlockRef& r = MutRef(bid);
-  BlockHdr* hdr = HdrOf(r);
+  --live_;
   const bool was_full = hdr->free_run_head < 0;
-  EraseSlot(r, hdr, idx & ItemHandle::kSlotMask);
-  Stripe& home = stripes_[hdr->stripe];
+  EraseSlot(r, hdr, slot);
   const std::uint32_t n = hdr->node;
   if (was_full) {
     // This block re-enters the partial list as its new head. An emptied
@@ -479,27 +447,19 @@ void ItemPool::FreeSlotInternal(std::uint32_t idx) {
     // the alloc/free boundary); being displaced ends its grace period,
     // else a FIFO drain would leave every drained block parked in the
     // list forever.
-    const std::uint32_t old_head = home.partial_head[n];
-    LinkPartial(home, n, bid);
+    const std::uint32_t old_head = partial_head_[n];
+    LinkPartial(n, bid);
     if (old_head != 0 && HdrOf(RefOf(old_head))->occupied == 0) {
-      UnlinkPartial(home, n, old_head);
+      UnlinkPartial(n, old_head);
       ReleaseBlock(old_head);
     }
   }
-  if (hdr->occupied == 0 && home.partial_head[n] != bid) {
-    // Keep the partial head resident as the (node, stripe) hot block —
-    // alloc/free ping-pong at the empty boundary must not thrash the
-    // reuse pool — and park every other emptied block.
-    UnlinkPartial(home, n, bid);
+  if (hdr->occupied == 0 && partial_head_[n] != bid) {
+    // Keep the partial head resident as the node's hot block — alloc/free
+    // ping-pong at the empty boundary must not thrash the reuse pool —
+    // and park every other emptied block.
+    UnlinkPartial(n, bid);
     ReleaseBlock(bid);
-  }
-}
-
-void ItemPool::EndConcurrent() {
-  concurrent_.store(false, std::memory_order_relaxed);
-  for (Stripe& st : stripes_) {
-    for (std::uint32_t idx : st.deferred) FreeSlotInternal(idx);
-    st.deferred.clear();
   }
 }
 
@@ -550,7 +510,7 @@ ItemPool::Stats ItemPool::GetStats() const {
   Stats s;
   s.slab_bytes = slab_bytes_;
   s.released_blocks = released_blocks_;
-  s.dir_bytes = dir_cap_ * sizeof(BlockRef) + old_dir_bytes_ +
+  s.dir_bytes = dir_cap_ * sizeof(BlockRef) +
                 frozen_dir_bytes_.load(std::memory_order_relaxed);
   s.cow_copied_blocks = cow_copied_;
   for (const auto& cls : reuse_) s.reusable_blocks += cls.size();

@@ -2,7 +2,7 @@
 //
 // All items of a q-tree node have the same slot size (header + atom
 // counts + child slots), so the pool places them in fixed-capacity
-// 64-slot blocks per (node, stripe). Each block keeps:
+// 64-slot blocks per node. Each block keeps:
 //  * a jump-counting skipfield: skip[i] == 0 iff slot i is occupied, and
 //    an erased run of length L stores L at its first and last entry, so
 //    iteration over live slots skips any erased run in O(1)
@@ -18,9 +18,9 @@
 // Items are named by ItemHandle (core/handle.h): block id + slot,
 // resolved with one load from a flat block directory plus shift+add —
 // no division, no chain of indirections. The directory grows by
-// copy-and-republish (grown-out copies are kept until pool
-// destruction), so shard workers may resolve handles lock-free while
-// another worker carves new blocks.
+// copy-and-republish and frees the grown-out array at once: only the
+// writer allocates, always after its write prologue has forked any
+// pinned version off onto that version's own array.
 //
 // Snapshot versions (copy-on-write): a fork hands the pinned version
 // the directory array that was live at pin time and republishes a copy
@@ -32,16 +32,10 @@
 // stay valid on both sides. A copied-away slab is retired at the
 // write's epoch and freed once the writer reclaims past it.
 //
-// Striping (sharded batch pipeline): every stripe owns its per-node
-// partial-block lists, so k shard workers Alloc/Free concurrently
-// without locks as long as each worker sticks to its own stripe. A
-// worker freeing an item whose block belongs to ANOTHER stripe (the
-// item predates the current shard routing) defers the slot recycling:
-// it runs the destructors and bumps the slot generation immediately —
-// both touch only item-owned state — and queues the 4-byte handle for
-// EndConcurrent to fold into the owning block on the main thread.
-// The block directory mutex is only taken on block acquisition and
-// release (amortized over 64 allocations).
+// Single writer: Alloc/Free and every other mutation run on the one
+// writer thread. The block directory mutex is only taken on block
+// acquisition and release (amortized over 64 allocations) and guards
+// the bookkeeping the telemetry walkers read.
 #ifndef DYNCQ_CORE_ITEM_POOL_H_
 #define DYNCQ_CORE_ITEM_POOL_H_
 
@@ -67,8 +61,7 @@ class ItemPool {
   /// `num_children[n]` and `num_atoms[n]` give the array sizes for items
   /// of q-tree node n; `extra_bytes[n]` (empty = all zero) reserves a
   /// 16-aligned run-record region behind the child slots for nodes whose
-  /// items may absorb their single child (path compression). Starts with
-  /// one stripe (the sequential path).
+  /// items may absorb their single child (path compression).
   ItemPool(std::vector<std::size_t> num_children,
            std::vector<std::size_t> num_atoms,
            std::vector<std::size_t> extra_bytes = {});
@@ -76,12 +69,6 @@ class ItemPool {
 
   ItemPool(const ItemPool&) = delete;
   ItemPool& operator=(const ItemPool&) = delete;
-
-  /// Ensures at least `k` stripes exist. Existing stripes keep their
-  /// partial-block lists. Must not run concurrently with Alloc/Free.
-  void EnsureStripes(std::size_t k);
-
-  std::size_t num_stripes() const { return stripes_.size(); }
 
   /// Full slot size of node `n`'s items (header + arrays + any run
   /// record region). Lets the engine cross-check its independently
@@ -93,29 +80,14 @@ class ItemPool {
     return SlabBytes(size_class_[n]);
   }
 
-  /// Allocates a zero-initialized item for node `n` from `stripe`, with
-  /// `self` stamped. Thread-safe across DISTINCT stripes only.
-  Item* Alloc(std::uint32_t n, std::size_t stripe = 0);
+  /// Allocates a zero-initialized item for node `n`, with `self`
+  /// stamped.
+  Item* Alloc(std::uint32_t n);
 
   /// Frees `it` (named by its `self` handle). Runs the child-slot
   /// destructors and bumps the slot generation, making every outstanding
-  /// handle to it stale. Thread-safe across DISTINCT stripes only; a
-  /// free whose block belongs to another stripe is folded in directly
-  /// outside concurrent mode and deferred to EndConcurrent inside it.
-  void Free(Item* it, std::size_t stripe = 0);
-
-  // ---- sharded-batch concurrency mode --------------------------------
-
-  /// Enters concurrent mode: until EndConcurrent, cross-stripe frees
-  /// defer their block bookkeeping (see class comment). Called by the
-  /// writer before shard workers start.
-  void BeginConcurrent() {
-    concurrent_.store(true, std::memory_order_relaxed);
-  }
-
-  /// Leaves concurrent mode and folds every deferred free into its
-  /// owning block. Called by the writer after shard workers are joined.
-  void EndConcurrent();
+  /// handle to it stale.
+  void Free(Item* it);
 
   // ---- resolution ----------------------------------------------------
 
@@ -156,16 +128,8 @@ class ItemPool {
   /// release-mode tests assert stale-handle detection.
   Item* ResolveCheckedAt(std::uint32_t idx, std::uint16_t gen);
 
-  /// Total live items across all stripes. Only meaningful while no
-  /// concurrent Alloc/Free runs (tests and bookkeeping call it between
-  /// batches). Per-stripe counts are signed deltas — an item may be
-  /// freed through a different stripe than it was allocated from — so
-  /// only the sum is a count.
-  std::size_t live_items() const {
-    std::int64_t n = 0;
-    for (const Stripe& s : stripes_) n += s.live;
-    return static_cast<std::size_t>(n);
-  }
+  /// Total live items.
+  std::size_t live_items() const { return live_; }
 
   // ---- copy-on-write snapshot versions (see the file comment and
   // docs/ARCHITECTURE.md, "Copy-on-write blocks") ----------------------
@@ -215,8 +179,7 @@ class ItemPool {
   /// Writer thread, once per write: turns copy-on-write on while some
   /// forked version is alive, and sets the epoch copied-away slabs are
   /// retired at. Turning it off is O(1): stale shared marks are ignored
-  /// until the next Fork recomputes them. Must not change during a
-  /// sharded batch.
+  /// until the next Fork recomputes them.
   void SetCopyOnWrite(bool on, std::uint64_t epoch) {
     cow_ = on;
     cow_epoch_ = epoch;
@@ -248,12 +211,12 @@ class ItemPool {
   // ---- hive telemetry ------------------------------------------------
 
   struct Stats {
-    std::size_t active_blocks = 0;    ///< blocks assigned to a (node, stripe)
+    std::size_t active_blocks = 0;    ///< blocks assigned to a node
     std::size_t reusable_blocks = 0;  ///< emptied, parked in the reuse pool
     std::size_t released_blocks = 0;  ///< emptied, slab returned to the OS
     std::size_t slab_bytes = 0;  ///< bytes owned (active, reusable, retired)
     std::size_t occupied_slots = 0;   ///< allocated slots
-    std::size_t dir_bytes = 0;        ///< live, grown-out and frozen arrays
+    std::size_t dir_bytes = 0;        ///< live and frozen arrays
     std::size_t cow_copied_blocks = 0;  ///< slabs copied on write (total)
   };
   Stats GetStats() const;
@@ -292,11 +255,10 @@ class ItemPool {
   /// Block header, resident at the slab start (in front of the slots).
   struct BlockHdr {
     std::uint32_t node = kNoNode;     ///< resident node (kNoNode: reusable)
-    std::uint32_t stripe = 0;         ///< partial-list home
     std::uint32_t id = 0;
     std::uint32_t occupied = 0;
     std::int32_t free_run_head = -1;  ///< first erased-run start slot; -1 none
-    std::uint32_t next_partial = 0;   ///< (node, stripe) partial-list links
+    std::uint32_t next_partial = 0;   ///< per-node partial-list links
     std::uint32_t prev_partial = 0;
     std::uint8_t in_partial = 0;
     /// Jump-counting skipfield (+1 zero sentinel so erase at the last
@@ -322,16 +284,6 @@ class ItemPool {
 
   /// Emptied blocks parked per size class before OS release.
   static constexpr std::size_t kMaxReusePerClass = 8;
-
-  struct Stripe {
-    /// Per-node head block id of the doubly linked list of blocks with
-    /// free slots (0 = none).
-    std::vector<std::uint32_t> partial_head;
-    /// Concurrent-mode deferred cross-stripe frees (handle indices;
-    /// destructors and generation bumps already done).
-    std::vector<std::uint32_t> deferred;
-    std::int64_t live = 0;  ///< alloc/free delta (may be < 0)
-  };
 
   /// A slab copied away from under a forked version, freed once the
   /// writer reclaims past `epoch`.
@@ -394,16 +346,12 @@ class ItemPool {
   /// Marks slot `i` erased: skipfield run merge + free-run list update.
   void EraseSlot(const BlockRef& r, BlockHdr* hdr, std::uint32_t i);
 
-  /// Folds a freed slot into its block: erase + partial-list/reclaim
-  /// bookkeeping. Single-threaded with respect to the owning stripe.
-  void FreeSlotInternal(std::uint32_t idx);
+  void LinkPartial(std::uint32_t n, std::uint32_t bid);
+  void UnlinkPartial(std::uint32_t n, std::uint32_t bid);
 
-  void LinkPartial(Stripe& st, std::uint32_t n, std::uint32_t bid);
-  void UnlinkPartial(Stripe& st, std::uint32_t n, std::uint32_t bid);
-
-  /// Acquires a block for (n, stripe) from the reuse pool or a fresh
-  /// slab; links it as the (n, stripe) partial head.
-  std::uint32_t AcquireBlock(std::uint32_t n, std::size_t stripe);
+  /// Acquires a block for node n from the reuse pool or a fresh slab;
+  /// links it as n's partial head.
+  std::uint32_t AcquireBlock(std::uint32_t n);
 
   /// AcquireBlock's directory part, under dir_mu_: a reusable block of
   /// n's size class, or a fresh slab under a new or recycled id.
@@ -413,7 +361,8 @@ class ItemPool {
   /// past the per-class cap).
   void ReleaseBlock(std::uint32_t bid);
 
-  /// Ensures the directory can index `bid` (copy + release-publish).
+  /// Ensures the directory can index `bid` (copy + publish; the
+  /// grown-out array is freed).
   void GrowDirectory(std::uint32_t bid) DYNCQ_REQUIRES(dir_mu_);
 
   std::vector<std::size_t> num_children_;
@@ -425,26 +374,27 @@ class ItemPool {
     std::size_t count = 0;  // 0: the node's items never hold a run
   };
   std::vector<RunSlots> run_slots_;  // per node (SetRunSlots)
-  std::vector<Stripe> stripes_;
-  std::atomic<bool> concurrent_{false};
-  // Copy-on-write state: writer-thread only (SetCopyOnWrite runs before
-  // any shard worker starts, and sharded batches never run with it on).
+  /// Per-node head block id of the doubly linked list of blocks with
+  /// free slots (0 = none).
+  std::vector<std::uint32_t> partial_head_;
+  std::size_t live_ = 0;
+  // Copy-on-write state: writer-thread only.
   bool cow_ = false;
   std::uint64_t cow_epoch_ = 0;
   std::size_t cow_copied_ = 0;
 
-  // Flat block directory. Shard workers resolve lock-free off the
-  // published array (acquire load); growth, block acquisition and
-  // release happen under dir_mu_. Arrays replaced by growth are kept
-  // until destruction so a concurrent worker's load of dir_ stays
-  // valid; an array replaced by Fork passes to the forked version
-  // instead. next_bid_ is atomic only so the test-side walkers
-  // (ForEachAllocated/GetStats) read a published bound.
+  // Flat block directory. Growth, block acquisition and release happen
+  // under dir_mu_. An array replaced by growth is freed at once: every
+  // growth runs on the writer after its write prologue, which has
+  // already forked any pinned version off onto its own array, so only
+  // the pool references the grown-out one (live cursors re-load dir_
+  // each Next after their revision check). An array replaced by Fork
+  // passes to the forked version instead. next_bid_ is atomic only so
+  // the test-side walkers (ForEachAllocated/GetStats) read a published
+  // bound.
   std::atomic<BlockRef*> dir_{nullptr};
   std::atomic<std::uint32_t> next_bid_{1};  // block id 0 is reserved
   std::size_t dir_cap_ DYNCQ_GUARDED_BY(dir_mu_) = 0;
-  std::vector<BlockRef*> old_dirs_ DYNCQ_GUARDED_BY(dir_mu_);
-  std::size_t old_dir_bytes_ DYNCQ_GUARDED_BY(dir_mu_) = 0;
   // Arrays held by forked versions; released from any thread.
   std::atomic<std::size_t> frozen_dir_bytes_{0};
   std::vector<std::uint32_t> free_ids_ DYNCQ_GUARDED_BY(dir_mu_);
@@ -461,9 +411,8 @@ class ItemPool {
   // retire_mu_ and dir_mu_ — each releases one before taking the other;
   // dir_mu_ is still declared ACQUIRED_AFTER so the order stays
   // machine-checked if nesting ever reappears.
-  // Alloc/Free/stripes_ stay unannotated on purpose: their
-  // safety argument is stripe ownership (one thread per stripe during a
-  // sharded batch), which is a TSan-checked protocol, not a lock.
+  // Alloc/Free/partial_head_ stay unannotated on purpose: they are
+  // writer-thread only (single-writer contract), not lock-protected.
   mutable util::Mutex retire_mu_
       DYNCQ_ACQUIRED_AFTER(util::lock_rank::kBelowEngineSnap)
           DYNCQ_ACQUIRED_BEFORE(util::lock_rank::kBelowPoolRetire);

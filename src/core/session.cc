@@ -1,6 +1,5 @@
 #include "core/session.h"
 
-#include <thread>
 #include <utility>
 
 #include "util/check.h"
@@ -42,7 +41,7 @@ std::size_t UpdateBatch::Commit() {
   }
   std::size_t effective = 0;
   if (!net.empty()) {
-    effective = engine_->ApplyBatch(std::span<const UpdateCmd>(net), opts_);
+    effective = engine_->ApplyBatch(std::span<const UpdateCmd>(net));
   }
   Abort();
   return effective;
@@ -109,91 +108,6 @@ Result<std::vector<Tuple>> QuerySession::Materialize(
         "re-run, or use CursorOptions{.snapshot = true}");
   }
   return R(std::move(out));
-}
-
-Result<std::vector<Tuple>> QuerySession::ParallelMaterialize(
-    std::size_t k, bool verify_disjoint) {
-  using R = Result<std::vector<Tuple>>;
-  if (k == 0) return R::Error("ParallelMaterialize: k must be >= 1");
-
-  // Count first: cursors pin the same revision, so a mismatch below means
-  // a partitioning bug (or a concurrent update, which also invalidates).
-  const Weight expected = engine_->Count();
-
-  auto parts = engine_->NewPartitions(k);
-  if (!parts.ok()) return parts.status();
-
-  const std::size_t n = parts.value().size();
-  // Pre-size each chunk near its expected share so the drain loops do
-  // not realloc (ranges are near-equal splits of the root fit list; the
-  // slack absorbs skewed roots).
-  const std::size_t bounded = BoundedReserveFromCount(expected);
-  std::vector<std::vector<Tuple>> chunks(n);
-  std::vector<CursorStatus> finals(n, CursorStatus::kEnd);
-  {
-    // One thread per partition: cursors only read the engine structure,
-    // which is safe to share while no update runs.
-    std::vector<std::thread> threads;
-    threads.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      threads.emplace_back([&, i] {
-        chunks[i].reserve(bounded / n + bounded / (4 * n) + 16);
-        Cursor& c = *parts.value()[i];
-        Tuple t;
-        CursorStatus s;
-        while ((s = c.Next(&t)) == CursorStatus::kOk) {
-          chunks[i].push_back(t);
-        }
-        finals[i] = s;
-      });
-    }
-    for (auto& th : threads) th.join();
-  }
-  for (CursorStatus s : finals) {
-    if (s == CursorStatus::kInvalidated) {
-      return R::Error(
-          "ParallelMaterialize: result changed mid-drain (cursor "
-          "invalidated); re-run against the new revision");
-    }
-  }
-
-  std::size_t total = 0;
-  for (const auto& chunk : chunks) total += chunk.size();
-  if (Weight{total} != expected) {
-    return R::Error("ParallelMaterialize: partitions produced " +
-                    std::to_string(total) + " tuples, Count() says " +
-                    std::to_string(static_cast<std::uint64_t>(expected)));
-  }
-  if (verify_disjoint) {
-    OpenHashSet<Tuple, TupleHash> seen(total);
-    for (const auto& chunk : chunks) {
-      for (const Tuple& t : chunk) {
-        if (!seen.Insert(t)) {
-          return R::Error(
-              "ParallelMaterialize: partitions overlap on tuple " +
-              TupleToString(t));
-        }
-      }
-    }
-  }
-
-  // Scatter-concatenate in parallel: chunk offsets are known now, so
-  // each thread moves its chunk into a disjoint slice of the output
-  // (keeps the post-drain phase off the serial path on multi-core).
-  std::vector<Tuple> out(total);
-  {
-    std::vector<std::thread> threads;
-    threads.reserve(n);
-    std::size_t off = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      threads.emplace_back([&, i, off] {
-        std::move(chunks[i].begin(), chunks[i].end(), out.begin() + off);
-      });
-      off += chunks[i].size();
-    }
-    for (auto& th : threads) th.join();
-  }
-  return out;
 }
 
 }  // namespace dyncq

@@ -79,8 +79,7 @@ class UpdateBatch {
 
  private:
   friend class QuerySession;
-  UpdateBatch(DynamicQueryEngine* engine, BatchOptions opts)
-      : engine_(engine), opts_(opts) {}
+  explicit UpdateBatch(DynamicQueryEngine* engine) : engine_(engine) {}
 
   void Stage(UpdateCmd cmd);
   static Tuple KeyOf(const UpdateCmd& cmd) {
@@ -95,7 +94,6 @@ class UpdateBatch {
   };
 
   DynamicQueryEngine* engine_;
-  BatchOptions opts_;           // forwarded to the engine on Commit
   std::vector<Staged> staged_;  // staging order preserved for Commit
   OpenHashMap<Tuple, std::uint32_t, TupleHash> index_;  // key -> staged_ idx
   std::size_t live_ = 0;
@@ -142,22 +140,14 @@ class QuerySession {
   // ---- updates ----
   bool Apply(const UpdateCmd& cmd) { return engine_->Apply(cmd); }
   /// Ordered replay of `cmds` through the engine's batch pipeline.
-  /// `opts.shards > 1` shards the phase-A descents across worker threads
-  /// on engines with a sharded pipeline (core::Engine); other engines
-  /// apply sequentially regardless.
-  std::size_t ApplyBatch(std::span<const UpdateCmd> cmds,
-                         const BatchOptions& opts = {}) {
-    return engine_->ApplyBatch(cmds, opts);
+  std::size_t ApplyBatch(std::span<const UpdateCmd> cmds) {
+    return engine_->ApplyBatch(cmds);
   }
-  std::size_t ApplyAll(const UpdateStream& stream,
-                       const BatchOptions& opts = {}) {
-    return engine_->ApplyAll(stream, opts);
+  std::size_t ApplyAll(const UpdateStream& stream) {
+    return engine_->ApplyAll(stream);
   }
-  /// Staged builder with the net-delta pre-pass (see UpdateBatch);
-  /// `opts` is forwarded to the engine's batch pipeline on Commit().
-  UpdateBatch NewBatch(const BatchOptions& opts = {}) {
-    return UpdateBatch(engine_.get(), opts);
-  }
+  /// Staged builder with the net-delta pre-pass (see UpdateBatch).
+  UpdateBatch NewBatch() { return UpdateBatch(engine_.get()); }
 
   // ---- reads ----
   Revision revision() const { return engine_->revision(); }
@@ -191,15 +181,6 @@ class QuerySession {
   [[nodiscard]] Result<std::vector<std::unique_ptr<Cursor>>> Partitions(std::size_t k) {
     return engine_->NewPartitions(k);
   }
-
-  /// Drains Partitions(k) on `k` threads and returns the concatenated
-  /// result. Verifies that the partitions jointly produced exactly
-  /// Count() tuples; with `verify_disjoint` additionally hash-checks that
-  /// no tuple was emitted twice (slower; meant for tests). Errors if the
-  /// result changed mid-drain (a cursor reported kInvalidated) rather
-  /// than returning a torn result.
-  [[nodiscard]] Result<std::vector<Tuple>> ParallelMaterialize(std::size_t k,
-                                                 bool verify_disjoint = false);
 
  private:
   std::unique_ptr<DynamicQueryEngine> engine_;

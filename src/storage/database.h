@@ -36,16 +36,8 @@ class Database {
   /// Applies a whole stream; returns the number of effective updates.
   /// Bulk-load path: pre-sizes the relations and the active-domain map
   /// from the stream's composition so the replay never rehashes (paper
-  /// §6.4 linear-time preprocessing). The BatchOptions overload keeps
-  /// the storage layer callable from the sharded batch plumbing: each
-  /// relation is one shared open-addressing table, so the replay here is
-  /// sequential regardless of `opts.shards` (only the engines' phase-A
-  /// descents shard — see core::Engine::ApplyBatch).
+  /// §6.4 linear-time preprocessing).
   std::size_t ApplyAll(const UpdateStream& stream);
-  std::size_t ApplyAll(const UpdateStream& stream, const BatchOptions& opts) {
-    (void)opts.shards;
-    return ApplyAll(stream);
-  }
 
   /// Pre-sizes relation `rel` (and the active-domain map) for `n` more
   /// tuples.

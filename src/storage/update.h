@@ -31,19 +31,6 @@ struct UpdateCmd {
 /// A sequence of update commands (an update stream).
 using UpdateStream = std::vector<UpdateCmd>;
 
-/// Options for batched update application, threaded through
-/// DynamicQueryEngine::ApplyBatch / ApplyAll, QuerySession::NewBatch,
-/// and Database::ApplyAll.
-struct BatchOptions {
-  /// Number of ingestion shards for the engine's phase-A descent.
-  /// 1 (the default) selects the deterministic sequential pipeline;
-  /// k > 1 routes deltas by root value onto k worker threads (see
-  /// core::Engine::ApplyBatch). Engines without a sharded pipeline —
-  /// and the storage-level Database::ApplyAll — apply sequentially
-  /// regardless.
-  std::size_t shards = 1;
-};
-
 /// Reusable in-batch fold for ordered batch replay.
 ///
 /// Under set semantics the LAST command on a (relation, tuple) key forces

@@ -12,8 +12,9 @@
 // slow paths, so the hot loops never see it at all.
 //
 // Arming/disarming is a test-thread affair; the guarded sites may run on
-// shard workers, so the counters are atomics, but the arm/observe
-// protocol itself is not meant to race with the allocations it targets.
+// other threads (the writer, a reader pinning an epoch), so the counters
+// are atomics, but the arm/observe protocol itself is not meant to race
+// with the allocations it targets.
 #ifndef DYNCQ_UTIL_FAILPOINT_H_
 #define DYNCQ_UTIL_FAILPOINT_H_
 

@@ -119,8 +119,8 @@ TEST(BatchDifferentialTest, ConstantsAndRepeatedVariables) {
 }
 
 // ---------------------------------------------------------------------------
-// Ordered-batch fold (satellite of the sharded-ingestion PR): commands
-// superseded within the batch never reach the database.
+// Ordered-batch fold: commands superseded within the batch never reach
+// the database.
 // ---------------------------------------------------------------------------
 
 TEST(OrderedBatchFoldTest, InBatchInversePairsCostZeroProbes) {

@@ -1,8 +1,8 @@
 // Differential test for the structural tuning pair: generalized leaf
 // inlining (stride-(k+2) count records for k>1-atom leaves) and path
 // compression (fanout-1 heads absorbing their single child as a run
-// record). Engines with each flag combination, the sharded pipeline at
-// shards in {1, 2, 4}, and the DeltaIvm/Recompute oracles must agree on
+// record). Engines with each flag combination, a batch-only engine, and
+// the DeltaIvm/Recompute oracles must agree on
 // counts, enumeration (full cursors AND partitioned cursors), and the
 // internal invariants under randomized insert/delete churn that forces
 // records to split, re-merge, and drain. A chain workload additionally
@@ -59,8 +59,8 @@ std::vector<Tuple> DrainPartitions(core::Engine& engine, std::size_t k) {
   return out;
 }
 
-/// The same randomized stream through every tuning combination, the
-/// sharded pipeline, and both oracles. Small domains force key
+/// The same randomized stream through every tuning combination, a
+/// batch-only engine, and both oracles. Small domains force key
 /// collisions, so run records split (second child value) and re-merge
 /// (deletion back to one) constantly.
 void RunTuningDifferential(const Query& q, std::uint64_t seed,
@@ -73,12 +73,9 @@ void RunTuningDifferential(const Query& q, std::uint64_t seed,
   std::vector<core::Engine*> engines = {tuned.get(), legacy.get(),
                                         inline_only.get(),
                                         compress_only.get()};
-  constexpr std::size_t kShardCounts[] = {1, 2, 4};
-  std::vector<std::unique_ptr<core::Engine>> sharded;
-  for (std::size_t k : kShardCounts) {
-    (void)k;
-    sharded.push_back(MakeEngine(q, Tuning(true, true)));
-  }
+  // Takes every round as a batch, so on single-update rounds it checks
+  // the batch pipeline against the single-update one.
+  auto batched = MakeEngine(q, Tuning(true, true));
   baseline::DeltaIvmEngine ivm(q);
   baseline::RecomputeEngine rec(q);
 
@@ -100,8 +97,8 @@ void RunTuningDifferential(const Query& q, std::uint64_t seed,
       // split/merge transitions instead of the deferred batch ones).
       // Effective-op counts are only comparable within the same replay
       // mode (the batch fold legitimately annihilates inverse pairs), so
-      // the sharded engines and oracles take the batch and converge on
-      // the same final state instead.
+      // the batch-only engine takes the batch and converges on the same
+      // final state instead.
       std::size_t expect = 0;
       for (const UpdateCmd& cmd : batch) {
         expect += tuned->Apply(cmd) ? 1 : 0;
@@ -118,11 +115,7 @@ void RunTuningDifferential(const Query& q, std::uint64_t seed,
       }
       ASSERT_EQ(ivm_n, expect) << "round " << round;
       ASSERT_EQ(rec_n, expect) << "round " << round;
-      for (std::size_t ki = 0; ki < std::size(kShardCounts); ++ki) {
-        BatchOptions bo;
-        bo.shards = kShardCounts[ki];
-        sharded[ki]->ApplyBatch(span, bo);
-      }
+      batched->ApplyBatch(span);
     } else {
       const std::size_t expect = tuned->ApplyBatch(span);
       for (std::size_t e = 1; e < engines.size(); ++e) {
@@ -131,16 +124,11 @@ void RunTuningDifferential(const Query& q, std::uint64_t seed,
       }
       ASSERT_EQ(ivm.ApplyBatch(span), expect) << "round " << round;
       ASSERT_EQ(rec.ApplyBatch(span), expect) << "round " << round;
-      for (std::size_t ki = 0; ki < std::size(kShardCounts); ++ki) {
-        BatchOptions bo;
-        bo.shards = kShardCounts[ki];
-        ASSERT_EQ(sharded[ki]->ApplyBatch(span, bo), expect)
-            << "round " << round << " shards " << bo.shards;
-      }
+      ASSERT_EQ(batched->ApplyBatch(span), expect) << "round " << round;
     }
 
     for (core::Engine* e : engines) CheckAllInvariants(*e);
-    for (auto& e : sharded) CheckAllInvariants(*e);
+    CheckAllInvariants(*batched);
 
     if (round % 5 == 0) {
       const Weight count = tuned->Count();
@@ -156,13 +144,9 @@ void RunTuningDifferential(const Query& q, std::uint64_t seed,
         ASSERT_TRUE(SameTupleSet(result, MaterializeResult(*e)))
             << "round " << round;
       }
-      for (std::size_t ki = 0; ki < std::size(kShardCounts); ++ki) {
-        ASSERT_EQ(sharded[ki]->Count(), count)
-            << "round " << round << " shards " << kShardCounts[ki];
-        ASSERT_TRUE(
-            SameTupleSet(result, MaterializeResult(*sharded[ki])))
-            << "round " << round << " shards " << kShardCounts[ki];
-      }
+      ASSERT_EQ(batched->Count(), count) << "round " << round;
+      ASSERT_TRUE(SameTupleSet(result, MaterializeResult(*batched)))
+          << "round " << round;
       // Partitioned cursors: the k-way union must be the same multiset,
       // compressed runs and strided leaves included.
       for (std::size_t k : {std::size_t{2}, std::size_t{3}}) {

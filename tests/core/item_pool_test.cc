@@ -222,26 +222,6 @@ TEST(ItemPoolTest, DeleteHeavyChurnReturnsBlocksToReusePool) {
   for (const ItemHandle h : again) pool.Free(pool.Resolve(h));
 }
 
-TEST(ItemPoolTest, CrossStripeFreesDeferUntilEndConcurrent) {
-  // Sharded-batch protocol: a stripe freeing another stripe's item runs
-  // the generation bump at once (stale handles fail immediately) but
-  // folds the slot back only at EndConcurrent on the writer.
-  ItemPool pool = MakePool();
-  pool.EnsureStripes(2);
-  Item* it = pool.Alloc(0, /*stripe=*/0);
-  const ItemHandle h = it->self;
-  const std::uint32_t idx = h.idx();
-  const std::uint16_t gen = pool.GenerationOf(idx);
-  pool.BeginConcurrent();
-  pool.Free(it, /*stripe=*/1);  // cross-stripe: block belongs to stripe 0
-  EXPECT_THROW(pool.ResolveCheckedAt(idx, gen), std::logic_error);
-  // Slot not yet recycled: the block still shows the occupancy.
-  EXPECT_EQ(pool.GetStats().occupied_slots, 1u);
-  pool.EndConcurrent();
-  EXPECT_EQ(pool.GetStats().occupied_slots, 0u);
-  EXPECT_EQ(pool.live_items(), 0u);
-}
-
 TEST(ItemPoolTest, ForEachAllocatedSkipsErasedRuns) {
   ItemPool pool = MakePool();
   std::vector<ItemHandle> live;

@@ -1,10 +1,12 @@
 // Partitioned cursors (§6.3: root positions are independent per root
 // item): for every k, the multiset union of all partition cursors equals
 // the full enumeration with no duplicates — under churn, re-partitioning,
-// and across engine shapes (single component, product, Boolean gates).
+// and across engine shapes (single component, product, Boolean gates),
+// with the cursors drained sequentially or on concurrent threads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <thread>
 #include <vector>
 
 #include "../test_util.h"
@@ -149,7 +151,31 @@ TEST(PartitionTest, RandomizedEquivalenceUnderChurnAndRepartitioning) {
   }
 }
 
-TEST(ParallelMaterializeTest, MatchesSingleCursorAndVerifiesDisjoint) {
+/// Drains each partition cursor on its own std::thread (the way callers
+/// parallelize reads) and returns the per-cursor outputs and final
+/// statuses.
+void DrainOnThreads(std::vector<std::unique_ptr<Cursor>>& parts,
+                    std::vector<std::vector<Tuple>>* chunks,
+                    std::vector<CursorStatus>* finals) {
+  chunks->assign(parts.size(), {});
+  finals->assign(parts.size(), CursorStatus::kOk);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    threads.emplace_back([&, i] {
+      Tuple t;
+      CursorStatus s;
+      while ((s = parts[i]->Next(&t)) == CursorStatus::kOk) {
+        (*chunks)[i].push_back(t);
+      }
+      (*finals)[i] = s;
+    });
+  }
+  for (std::thread& th : threads) th.join();
+}
+
+// Partition cursors only read the structure, so k threads may drain them
+// concurrently (the TSan target for partitioned reads).
+TEST(PartitionTest, ConcurrentDrainOnThreads) {
   QuerySession session(MustParse("Q(x, y, z) :- R(x, y), S(x, z)."));
   Rng rng(5);
   for (int i = 0; i < 4000; ++i) {
@@ -157,23 +183,44 @@ TEST(ParallelMaterializeTest, MatchesSingleCursorAndVerifiesDisjoint) {
     session.Apply(UpdateCmd::Insert(
         rel, {rng.Range(1, 200), rng.Range(201, 400)}));
   }
-  std::vector<Tuple> full = MaterializeResult(session.engine());
+  const std::vector<Tuple> full = MaterializeResult(session.engine());
   for (std::size_t k : {1u, 2u, 8u}) {
-    auto parallel = session.ParallelMaterialize(k, /*verify_disjoint=*/true);
-    ASSERT_TRUE(parallel.ok()) << parallel.error();
-    EXPECT_TRUE(SameTupleSet(parallel.value(), full)) << "k=" << k;
+    auto parts = session.Partitions(k);
+    ASSERT_TRUE(parts.ok()) << parts.error();
+    ASSERT_EQ(parts.value().size(), k);
+    std::vector<std::vector<Tuple>> chunks;
+    std::vector<CursorStatus> finals;
+    DrainOnThreads(parts.value(), &chunks, &finals);
+    std::vector<Tuple> got;
+    OpenHashSet<Tuple, TupleHash> seen;
+    for (std::size_t i = 0; i < chunks.size(); ++i) {
+      EXPECT_EQ(finals[i], CursorStatus::kEnd) << "k=" << k;
+      for (const Tuple& t : chunks[i]) {
+        EXPECT_TRUE(seen.Insert(t))
+            << "tuple " << TupleToString(t) << " emitted twice, k=" << k;
+        got.push_back(t);
+      }
+    }
+    EXPECT_TRUE(SameTupleSet(got, full)) << "k=" << k;
   }
-}
 
-TEST(ParallelMaterializeTest, BooleanQueryDegradesGracefully) {
-  QuerySession session(MustParse("Q() :- R(x), S(y)."));
-  EXPECT_FALSE(session.capabilities().partitionable);
-  session.Apply(UpdateCmd::Insert(0, {1}));
-  session.Apply(UpdateCmd::Insert(1, {2}));
-  auto result = session.ParallelMaterialize(4);
-  ASSERT_TRUE(result.ok()) << result.error();
-  ASSERT_EQ(result.value().size(), 1u);
-  EXPECT_TRUE(result.value()[0].empty());
+  // A Boolean query is not partitionable: one cursor, one empty tuple.
+  QuerySession boolean(MustParse("Q() :- R(x), S(y)."));
+  EXPECT_FALSE(boolean.capabilities().partitionable);
+  boolean.Apply(UpdateCmd::Insert(0, {1}));
+  boolean.Apply(UpdateCmd::Insert(1, {2}));
+  auto parts = boolean.Partitions(4);
+  ASSERT_TRUE(parts.ok()) << parts.error();
+  std::vector<std::vector<Tuple>> chunks;
+  std::vector<CursorStatus> finals;
+  DrainOnThreads(parts.value(), &chunks, &finals);
+  std::size_t tuples = 0;
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    EXPECT_EQ(finals[i], CursorStatus::kEnd);
+    for (const Tuple& t : chunks[i]) EXPECT_TRUE(t.empty());
+    tuples += chunks[i].size();
+  }
+  EXPECT_EQ(tuples, 1u);
 }
 
 }  // namespace

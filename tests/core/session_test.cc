@@ -84,7 +84,6 @@ TEST(QuerySessionTest, FallbackSessionHasSameSurface) {
 TEST(QuerySessionTest, PartitionsRejectZero) {
   QuerySession session(MustParse("Q(x) :- R(x)."));
   EXPECT_FALSE(session.Partitions(0).ok());
-  EXPECT_FALSE(session.ParallelMaterialize(0).ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -6,12 +6,12 @@
 // writer copies each shared block before mutating it), so pinned
 // cursors keep enumerating exactly the pre-pin result — with constant
 // delay on core::Engine, by materialization elsewhere — while
-// single-writer traffic (single updates, sequential batches, sharded
-// batches) proceeds. The copy-on-write tests pin down that a write
-// under a pin copies a constant number of blocks, independent of the
-// database size, and that memory returns to baseline once versions die. Non-snapshot cursors keep the strict kInvalidated
-// contract. Misuse (unpinning twice, pinning under an open sharded
-// batch, exceeding the pin limit, reclaiming while pinned) returns
+// single-writer traffic (single updates and batches) proceeds. The
+// copy-on-write tests pin down that a write under a pin copies a
+// constant number of blocks, independent of the database size, and
+// that memory returns to baseline once versions die. Non-snapshot
+// cursors keep the strict kInvalidated contract. Misuse (unpinning
+// twice, exceeding the pin limit, reclaiming while pinned) returns
 // typed util::Result errors. The threaded test at the bottom is the
 // TSan target: concurrent readers drain pinned cursors while the writer
 // churns through every write path.
@@ -143,7 +143,7 @@ TEST(SnapshotTest, SnapshotCursorOutlivesItsPin) {
 }
 
 // The randomized differential: pinned cursors must reproduce exactly
-// their pre-pin materialization under mixed single/batch/sharded churn,
+// their pre-pin materialization under mixed single/batch churn,
 // while fresh cursors track a recompute oracle fed the same commands.
 void RunSnapshotDifferential(const Query& q, std::uint64_t seed,
                              std::size_t rounds, std::size_t domain) {
@@ -171,21 +171,14 @@ void RunSnapshotDifferential(const Query& q, std::uint64_t seed,
 
     // Churn through a rotating write path.
     UpdateStream cmds = gen.Take(40);
-    switch (round % 3) {
-      case 0:
-        for (const UpdateCmd& cmd : cmds) {
-          engine.Apply(cmd);
-          oracle.Apply(cmd);
-        }
-        break;
-      case 1:
-        engine.ApplyAll(cmds);
-        oracle.ApplyAll(cmds);
-        break;
-      default:
-        engine.ApplyAll(cmds, BatchOptions{.shards = 4});
-        oracle.ApplyAll(cmds);
-        break;
+    if (round % 3 == 0) {
+      for (const UpdateCmd& cmd : cmds) {
+        engine.Apply(cmd);
+        oracle.Apply(cmd);
+      }
+    } else {
+      engine.ApplyAll(cmds);
+      oracle.ApplyAll(cmds);
     }
 
     // Every held pin still enumerates its own frozen version.
@@ -305,14 +298,6 @@ TEST(SnapshotTest, MisuseReturnsTypedErrors) {
   EXPECT_FALSE(engine.UnpinEpoch(999).ok());
   EXPECT_FALSE(engine.NewSnapshotCursor(999).ok());
 
-  // Pinning mid-write (under an open sharded batch) is rejected.
-  engine.SetShardedBatchOpenForTest(true);
-  auto pin = engine.PinEpoch();
-  ASSERT_FALSE(pin.ok());
-  EXPECT_NE(pin.error().find("sharded batch"), std::string::npos)
-      << pin.error();
-  engine.SetShardedBatchOpenForTest(false);
-
   // Pin-count overflow is a typed error, not a wrap-around.
   engine.SetPinLimitForTest(2);
   auto p1 = engine.PinEpoch();
@@ -386,7 +371,7 @@ TEST(SnapshotTest, SessionCursorOptionsOnMaterializingEngine) {
 
 // The TSan target: three reader threads repeatedly drain (and reset)
 // snapshot cursors over two pinned epochs while the writer thread churns
-// through single updates, sequential batches, and sharded batches. Pins
+// through single updates and batches. Pins
 // and unpins stay on the writer thread, as the threading contract
 // requires; cursor creation/drain/destruction races freely with writes.
 TEST(SnapshotTest, ConcurrentReadersUnderChurn) {
@@ -433,16 +418,10 @@ TEST(SnapshotTest, ConcurrentReadersUnderChurn) {
   // The single writer churns through every write path meanwhile.
   for (int round = 0; round < 40; ++round) {
     UpdateStream cmds = gen.Take(25);
-    switch (round % 3) {
-      case 0:
-        for (const UpdateCmd& cmd : cmds) engine.Apply(cmd);
-        break;
-      case 1:
-        engine.ApplyAll(cmds);
-        break;
-      default:
-        engine.ApplyAll(cmds, BatchOptions{.shards = 3});
-        break;
+    if (round % 3 == 0) {
+      for (const UpdateCmd& cmd : cmds) engine.Apply(cmd);
+    } else {
+      engine.ApplyAll(cmds);
     }
   }
 
@@ -458,9 +437,8 @@ TEST(SnapshotTest, ConcurrentReadersUnderChurn) {
   CheckAllInvariants(engine);
 }
 
-// Two versions alive at different epochs while every write path runs:
-// singles, a sequential batch, and a sharded batch that must fall back
-// to one stripe (two workers could otherwise race to copy one block).
+// Two versions alive at different epochs while both write paths run:
+// single updates and batches.
 TEST(SnapshotTest, OverlappingVersionsAcrossWritePaths) {
   for (const Query& q :
        {testing::paper::Example61(),
@@ -481,13 +459,6 @@ TEST(SnapshotTest, OverlappingVersionsAcrossWritePaths) {
                                baseline::Evaluate(engine.db(), q)));
       CheckAllInvariants(engine);
     };
-    auto stripes = [&] {
-      std::size_t k = 0;
-      for (std::size_t c = 0; c < engine.NumComponents(); ++c) {
-        k = std::max(k, engine.component(c).pool().num_stripes());
-      }
-      return k;
-    };
 
     std::vector<std::pair<std::uint64_t, std::vector<Tuple>>> held;
     auto pin_a = engine.PinEpoch();
@@ -502,25 +473,23 @@ TEST(SnapshotTest, OverlappingVersionsAcrossWritePaths) {
     held.emplace_back(pin_b.value(), MaterializeResult(engine));
     engine.ApplyAll(gen.Take(40));
     check(held);
-    engine.ApplyAll(gen.Take(40), BatchOptions{.shards = 2});
+    engine.ApplyAll(gen.Take(40));
     check(held);
-    EXPECT_EQ(stripes(), 1u) << "a sharded batch ran under a live version";
     for (const UpdateCmd& cmd : gen.Take(20)) engine.Apply(cmd);
     check(held);
 
     // The older version dies first; the younger one is unaffected.
     ASSERT_TRUE(engine.UnpinEpoch(pin_a.value()).ok());
     held.erase(held.begin());
-    engine.ApplyAll(gen.Take(40), BatchOptions{.shards = 2});
+    engine.ApplyAll(gen.Take(40));
     check(held);
     ASSERT_TRUE(engine.UnpinEpoch(pin_b.value()).ok());
     held.clear();
     EXPECT_TRUE(engine.DropAllSnapshots().ok());
     EXPECT_EQ(engine.RetiredBlocks(), 0u);
 
-    // No version left: sharded batches shard again.
-    engine.ApplyAll(gen.Take(40), BatchOptions{.shards = 2});
-    EXPECT_EQ(stripes(), 2u);
+    // No version left: batches run without copy-on-write again.
+    engine.ApplyAll(gen.Take(40));
     check(held);
   }
 }

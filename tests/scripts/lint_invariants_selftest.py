@@ -364,6 +364,14 @@ class StoredItemPtrTest(unittest.TestCase):
             rules_hit("src/core/other.h", "Item* item = nullptr;"),
         )
 
+    def test_allowlist_names_only_the_batch_scratch_member(self):
+        self.assertIn(
+            "stored-item-ptr",
+            rules_hit(
+                "src/core/component_engine.h", "Item* root = nullptr;"
+            ),
+        )
+
     def test_cc_files_out_of_scope(self):
         self.assertEqual(
             set(),

@@ -3,7 +3,7 @@
 //
 // Each cycle pins the current version (recording an order-insensitive
 // signature of the result), churns through a rotating write path
-// (single updates / sequential batches / sharded batches), re-drains
+// (single updates / batches), re-drains
 // every held pin and checks its signature byte-for-byte, and rotates
 // the oldest pin out. Component invariants are checked periodically,
 // and at the end — after every pin is released and retired memory is
@@ -203,16 +203,10 @@ int main() {
 
     // Churn through a rotating write path.
     UpdateStream cmds = gen->Take(2000);
-    switch (rounds % 3) {
-      case 0:
-        for (const UpdateCmd& cmd : cmds) engine.Apply(cmd);
-        break;
-      case 1:
-        engine.ApplyAll(cmds);
-        break;
-      default:
-        engine.ApplyAll(cmds, BatchOptions{.shards = 4});
-        break;
+    if (rounds % 3 == 0) {
+      for (const UpdateCmd& cmd : cmds) engine.Apply(cmd);
+    } else {
+      engine.ApplyAll(cmds);
     }
 
     // Every held pin must still enumerate exactly its frozen version.

@@ -3,9 +3,9 @@
 // across arities 1–4, including wraparound probe sequences (tiny tables
 // driven to the 7/8 occupancy threshold), tombstone-saturation rehash,
 // Clear/Reserve interactions, and probe-count monotonicity (no-ops and
-// Contains charge nothing). Runs under ASan/UBSan via the debug CI job;
-// the table's thread-compatibility under the sharded batch pipeline is
-// covered by shard_batch_test in the TSan job.
+// Contains charge nothing). Runs under ASan/UBSan via the debug CI job.
+// Relations are only ever mutated on the single writer thread, so the
+// table needs no TSan variant.
 #include <gtest/gtest.h>
 
 #include <algorithm>
