@@ -201,18 +201,15 @@ void BM_EngineApplyBatch(benchmark::State& state) {
 BENCHMARK(BM_EngineApplyBatch)->Arg(1000)->Arg(16000)->Arg(64000);
 
 // ---------------------------------------------------------------------
-// Structure micros: generalized leaf inlining + path compression (the
-// PR 5 tentpole) against the legacy layout, on the shapes they target.
-// Registered report-only in the trajectory gate — see
-// E12_STRUCTURE_MICROS in scripts/check_bench_trajectory.py for the
-// documented promotion path (same as the relation probes followed).
+// Structure micros: single-update churn on the shapes generalized leaf
+// inlining and path compression target. Gated in the trajectory check —
+// see E12_STRUCTURE_MICROS in scripts/check_bench_trajectory.py.
 // ---------------------------------------------------------------------
 
 void RunEngineChurn(benchmark::State& state, const char* text,
-                    const core::EngineTuning& tuning, std::size_t domain,
-                    std::size_t num_rels) {
+                    std::size_t domain, std::size_t num_rels) {
   Query q = Parse(text);
-  auto engine = core::Engine::Create(q, tuning);
+  auto engine = core::Engine::Create(q);
   DYNCQ_CHECK(engine.ok());
   workload::StreamOptions opts;
   opts.domain_size = domain;
@@ -225,45 +222,22 @@ void RunEngineChurn(benchmark::State& state, const char* text,
   }
 }
 
-core::EngineTuning StructureTuning(bool on) {
-  core::EngineTuning t;
-  t.inline_multi_leaves = on;
-  t.compress_paths = on;
-  return t;
-}
-
 // 3-level chain R(x), S(x,y), T(x,y,z): fanout-1 runs dominate, so the
-// compressed engine allocates one item per path instead of two and
-// walks one level fewer of hash probes.
+// engine allocates one item per path (the y item is absorbed into its
+// head) and walks one level fewer of hash probes.
 void BM_EngineUpdateChain3Compressed(benchmark::State& state) {
   RunEngineChurn(state, "Q(x, y, z) :- R(x), S(x, y), T(x, y, z).",
-                 StructureTuning(true),
                  static_cast<std::size_t>(state.range(0)), 3);
 }
 BENCHMARK(BM_EngineUpdateChain3Compressed)->Arg(4096)->Arg(65536);
 
-void BM_EngineUpdateChain3Legacy(benchmark::State& state) {
-  RunEngineChurn(state, "Q(x, y, z) :- R(x), S(x, y), T(x, y, z).",
-                 StructureTuning(false),
-                 static_cast<std::size_t>(state.range(0)), 3);
-}
-BENCHMARK(BM_EngineUpdateChain3Legacy)->Arg(4096)->Arg(65536);
-
-// k=2 leaf R(x,y), S(x,y): strided count records in the root tables vs
-// allocated leaf items.
+// k=2 leaf R(x,y), S(x,y): strided count records in the root tables
+// instead of allocated leaf items.
 void BM_EngineUpdateMultiLeafStrided(benchmark::State& state) {
   RunEngineChurn(state, "Q(x, y) :- R(x, y), S(x, y).",
-                 StructureTuning(true),
                  static_cast<std::size_t>(state.range(0)), 2);
 }
 BENCHMARK(BM_EngineUpdateMultiLeafStrided)->Arg(4096)->Arg(65536);
-
-void BM_EngineUpdateMultiLeafLegacy(benchmark::State& state) {
-  RunEngineChurn(state, "Q(x, y) :- R(x, y), S(x, y).",
-                 StructureTuning(false),
-                 static_cast<std::size_t>(state.range(0)), 2);
-}
-BENCHMARK(BM_EngineUpdateMultiLeafLegacy)->Arg(4096)->Arg(65536);
 
 // ---------------------------------------------------------------------
 // Hive ItemPool micros: the allocator under the whole item forest.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <ostream>
-#include <unordered_set>
 
 #include "util/check.h"
 #include "util/u128.h"
@@ -29,12 +28,11 @@ std::vector<std::size_t> TrackedCounts(const QTree& tree) {
 }
 
 /// A leaf whose "items" are records in the parent's child index instead
-/// of allocated blocks: always for single-atom leaves (PR 1), and for
-/// k > 1 leaves when the stride-(k+2) mode is enabled.
-bool TreeInlinedLeaf(const QTree& tree, int n, const EngineTuning& t) {
+/// of allocated blocks: every leaf below the root (root nodes stay
+/// materialized: the root index and root fit list hold real items).
+bool TreeInlinedLeaf(const QTree& tree, int n) {
   const QTreeNode& tn = tree.node(n);
-  return tn.children.empty() && tn.parent >= 0 &&
-         (tn.tracked_atoms.size() == 1 || t.inline_multi_leaves);
+  return tn.children.empty() && tn.parent >= 0;
 }
 
 /// Path-compression eligibility of node v: exactly one child u, u's
@@ -42,14 +40,13 @@ bool TreeInlinedLeaf(const QTree& tree, int n, const EngineTuning& t) {
 /// materialized item (u's children, if any, are all inlined leaves) —
 /// so absorbing u into v's block never leaves an allocated item whose
 /// parent pointer would have to reach into a run record.
-int TreeAbsorbChild(const QTree& tree, int v, const EngineTuning& t) {
-  if (!t.compress_paths) return -1;
+int TreeAbsorbChild(const QTree& tree, int v) {
   const QTreeNode& tn = tree.node(v);
   if (tn.children.size() != 1) return -1;
   const int u = tn.children[0];
-  if (TreeInlinedLeaf(tree, u, t)) return -1;
+  if (TreeInlinedLeaf(tree, u)) return -1;
   for (int w : tree.node(u).children) {
-    if (!TreeInlinedLeaf(tree, w, t)) return -1;
+    if (!TreeInlinedLeaf(tree, w)) return -1;
   }
   return u;
 }
@@ -72,11 +69,10 @@ std::size_t RunRecSizeFor(std::size_t num_tracked,
 /// Per-node extra block bytes for the run record of path-compressed
 /// heads (0 for ineligible nodes). Mirrors the eligibility the node
 /// metadata records; ItemPool appends the region 16-aligned.
-std::vector<std::size_t> RunExtraBytes(const QTree& tree,
-                                       const EngineTuning& t) {
+std::vector<std::size_t> RunExtraBytes(const QTree& tree) {
   std::vector<std::size_t> out(tree.NumNodes(), 0);
   for (std::size_t v = 0; v < tree.NumNodes(); ++v) {
-    const int u = TreeAbsorbChild(tree, static_cast<int>(v), t);
+    const int u = TreeAbsorbChild(tree, static_cast<int>(v));
     if (u >= 0) {
       const QTreeNode& un = tree.node(u);
       out[v] = RunRecSizeFor(un.tracked_atoms.size(), un.children.size());
@@ -101,13 +97,11 @@ bool LeafRecEmpty(const std::uint64_t* pay, int k) {
 
 }  // namespace
 
-ComponentEngine::ComponentEngine(Query query, QTree tree,
-                                 const EngineTuning& tuning)
+ComponentEngine::ComponentEngine(Query query, QTree tree)
     : query_(std::move(query)),
       tree_(std::move(tree)),
-      tuning_(tuning),
       pool_(ChildrenCounts(tree_), TrackedCounts(tree_),
-            RunExtraBytes(tree_, tuning)) {
+            RunExtraBytes(tree_)) {
   // Node metadata.
   node_meta_.resize(tree_.NumNodes());
   int max_depth = 0;
@@ -117,9 +111,7 @@ ComponentEngine::ComponentEngine(Query query, QTree tree,
     nm.num_children = static_cast<int>(tn.children.size());
     nm.num_tracked = static_cast<int>(tn.tracked_atoms.size());
     nm.is_free = tn.is_free;
-    // Root nodes stay materialized even when leaf-shaped: the root index
-    // and root fit list hold real items.
-    nm.unit_leaf = TreeInlinedLeaf(tree_, static_cast<int>(n), tuning_);
+    nm.unit_leaf = TreeInlinedLeaf(tree_, static_cast<int>(n));
     nm.leaf_stride =
         nm.unit_leaf ? (nm.num_tracked == 1 ? 1 : nm.num_tracked + 2) : 0;
     nm.slot_in_parent = tn.slot_in_parent;
@@ -171,7 +163,7 @@ ComponentEngine::ComponentEngine(Query query, QTree tree,
                                           cm.leaf_stride);
       }
     }
-    const int u = TreeAbsorbChild(tree_, static_cast<int>(n), tuning_);
+    const int u = TreeAbsorbChild(tree_, static_cast<int>(n));
     if (u >= 0) {
       nm.absorb_child_node = u;
       nm.run_rec_off = AlignUp(
@@ -266,6 +258,7 @@ ComponentEngine::ComponentEngine(Query query, QTree tree,
                   sizeof(ChildSlot);
         }
       }
+      am.nd = static_cast<std::size_t>(am.tail_absorb ? ndt - 1 : ndt);
     }
 
     // Consistency checks: repeated variables and constants (§6.4: only
@@ -540,26 +533,6 @@ void ComponentEngine::DestroyRunSlots(Item* head) {
   head->run_len = 0;
 }
 
-void ComponentEngine::RunMergePass() {
-  if (!merge_cands_.empty()) {
-    std::unordered_set<std::uint64_t> freed;
-    for (ItemHandle h : freed_log_) freed.insert(h.bits());
-    for (ItemHandle hh : merge_cands_) {
-      // A candidate that died later in the batch must be skipped before
-      // resolving: its handle is stale by construction.
-      if (freed.count(hh.bits()) != 0) continue;
-      Item* head = pool_.Resolve(hh);
-      const NodeMeta& hm = node_meta_[head->node];
-      ChildSlot& vslot = *reinterpret_cast<ChildSlot*>(
-          reinterpret_cast<char*>(head) + hm.slots_off);
-      if (head->run_len != 0 || vslot.index.size() != 1) continue;
-      MergeRun(head);
-    }
-    merge_cands_.clear();
-  }
-  freed_log_.clear();
-}
-
 bool ComponentEngine::MatchesAtom(const AtomMeta& am, const Tuple& t) const {
   // §6.4: the update only concerns atoms whose repeated-variable /
   // constant pattern is consistent with the tuple.
@@ -574,257 +547,28 @@ bool ComponentEngine::MatchesAtom(const AtomMeta& am, const Tuple& t) const {
   return true;
 }
 
-void ComponentEngine::PrefetchWalk(RelId rel, const Tuple& t) const {
-  for (int ai : atoms_of_rel_[rel]) {
-    const AtomMeta& am = atom_meta_[static_cast<std::size_t>(ai)];
-    if (!MatchesAtom(am, t)) continue;
-    const Item* root = pool_.Resolve(ItemHandle::FromBits(
-        root_index_.Find(t[static_cast<std::size_t>(am.read_pos[0])])));
-    if (root == nullptr) continue;
-    const char* base = reinterpret_cast<const char*>(root);
-    __builtin_prefetch(base + am.level_count_off[0]);
-    if (am.d > 1) __builtin_prefetch(base + am.level_slot_off[1]);
-  }
-}
-
-void ComponentEngine::ApplyDelta(RelId rel, const Tuple& t, bool insert) {
-  for (int ai : atoms_of_rel_[rel]) {
-    ApplyAtomDelta(atom_meta_[static_cast<std::size_t>(ai)], t, insert);
-  }
-}
-
-void ComponentEngine::ApplyAtomDelta(const AtomMeta& am, const Tuple& t,
-                                     bool insert) {
-  if (!MatchesAtom(am, t)) return;
-
-  // Top-down: locate (and on insert, create) the path items
-  // i_j = [v_j, a_1..a_{j-1}, a_j] by one single-Value probe per level in
-  // the parent's child index (root index at level 0). The next level's
-  // ChildSlot and this level's tracked count live at offsets fixed per
-  // q-tree node, so both are prefetched the moment the item pointer is
-  // known and no header pointer is chased on the way down.
-  // For leaf-inline atoms the last level is a record in the level-(d-2)
-  // item's child index; with tail_absorb the level above that may itself
-  // be a run record in the head's block — only the first `nd` levels are
-  // guaranteed materialized items.
-  const int ndt = am.leaf_inline ? am.d - 1 : am.d;
-  const int nd = am.tail_absorb ? ndt - 1 : ndt;
-  SmallVector<Item*, 8> chain;
-  Item* parent = nullptr;
-  for (int j = 0; j < nd; ++j) {
-    const std::size_t sj = static_cast<std::size_t>(j);
-    const Value v = t[static_cast<std::size_t>(am.read_pos[sj])];
-    ChildIndex& idx =
-        j == 0 ? root_index_
-               : reinterpret_cast<ChildSlot*>(
-                     reinterpret_cast<char*>(parent) +
-                     am.level_slot_off[sj])
-                     ->index;
-    Item* it;
-    if (insert) {
-      std::uint64_t* slot = idx.FindOrInsertSlot(v);
-      if (*slot == 0) {
-        Item* fresh = AllocItem(
-            static_cast<std::uint32_t>(am.level_node[sj]));
-        fresh->value = v;
-        if (parent != nullptr) fresh->parent = parent->self;
-        *slot = fresh->self.bits();
-        it = fresh;
-      } else {
-        it = pool_.Resolve(ItemHandle::FromBits(*slot));
-      }
-    } else {
-      it = pool_.Resolve(ItemHandle::FromBits(idx.Find(v)));
-      DYNCQ_CHECK_MSG(it != nullptr, "delete walk hit a missing item");
-    }
-    __builtin_prefetch(reinterpret_cast<char*>(it) +
-                       am.level_count_off[sj]);
-    if (j + 1 < am.d) {
-      __builtin_prefetch(reinterpret_cast<char*>(it) +
-                         am.level_slot_off[sj + 1]);
-    }
-    for (std::size_t off :
-         node_meta_[static_cast<std::size_t>(am.level_node[sj])]
-             .touch_offsets) {
-      __builtin_prefetch(reinterpret_cast<char*>(it) + off);
-    }
-    chain.push_back(it);
-    parent = it;
-  }
-
-  // Resolve the absorbable tail level: the level-(ndt-1) item may live
-  // as a run record in the head's block (rec != nullptr), or as a
-  // materialized item that is appended to the chain.
-  char* rec = nullptr;
-  const NodeMeta* um = nullptr;
-  if (am.tail_absorb) {
-    Item* head = chain[static_cast<std::size_t>(nd - 1)];
-    const std::size_t st = static_cast<std::size_t>(ndt - 1);
-    um = &node_meta_[static_cast<std::size_t>(am.level_node[st])];
-    ChildSlot& vslot = *reinterpret_cast<ChildSlot*>(
-        reinterpret_cast<char*>(head) + am.level_slot_off[st]);
-    const Value v = t[static_cast<std::size_t>(am.read_pos[st])];
-    if (insert) {
-      if (head->run_len != 0) {
-        if (*reinterpret_cast<Value*>(RunRecBase(head) + kRunValueOff) ==
-            v) {
-          rec = RunRecBase(head);
-        } else {
-          SplitRun(head);  // second value: materialize
-        }
-      } else if (vslot.index.empty()) {
-        CreateRun(head, v);  // first value: absorb, no allocation
-        rec = RunRecBase(head);
-      }
-      if (rec == nullptr) {
-        std::uint64_t* slot = vslot.index.FindOrInsertSlot(v);
-        if (*slot == 0) {
-          Item* fresh = AllocItem(
-              static_cast<std::uint32_t>(am.level_node[st]));
-          fresh->value = v;
-          fresh->parent = head->self;
-          *slot = fresh->self.bits();
-          chain.push_back(fresh);
-        } else {
-          chain.push_back(pool_.Resolve(ItemHandle::FromBits(*slot)));
-        }
-      }
-    } else {
-      if (head->run_len != 0) {
-        DYNCQ_CHECK_MSG(
-            *reinterpret_cast<Value*>(RunRecBase(head) + kRunValueOff) == v,
-            "delete walk hit a missing item");
-        rec = RunRecBase(head);
-      } else {
-        Item* it = pool_.Resolve(ItemHandle::FromBits(vslot.index.Find(v)));
-        DYNCQ_CHECK_MSG(it != nullptr, "delete walk hit a missing item");
-        chain.push_back(it);
-      }
-    }
-  }
-
-  if (am.leaf_inline) {
-    ChildSlot& lslot =
-        rec != nullptr
-            ? *reinterpret_cast<ChildSlot*>(rec + am.run_leaf_slot_off)
-            : *reinterpret_cast<ChildSlot*>(
-                  reinterpret_cast<char*>(
-                      chain[static_cast<std::size_t>(ndt - 1)]) +
-                  am.level_slot_off[static_cast<std::size_t>(am.d - 1)]);
-    FlipLeafEntry(am, lslot, t, insert);
-  }
-
-  // Record-level steps 1-5: adjust the absorbed child's tracked count,
-  // recompute its weights, publish the head's slot sums, and drop the
-  // record once empty. The head itself is fixed up by the loop below.
-  if (rec != nullptr) {
-    Item* head = chain[static_cast<std::size_t>(nd - 1)];
-    std::uint64_t& count = *reinterpret_cast<std::uint64_t*>(
-        rec + um->run_counts_off +
-        static_cast<std::size_t>(
-            am.level_slot[static_cast<std::size_t>(ndt - 1)]) *
-            sizeof(std::uint64_t));
-    if (insert) {
-      ++count;
-    } else {
-      DYNCQ_DCHECK(count > 0);
-      --count;
-    }
-    MaintainRun(head);
-  }
-
-  // Bottom-up: steps 1-5 (+2a/4a) of §6.4 for j = d .. 1 over the
-  // materialized chain.
-  for (int j = static_cast<int>(chain.size()) - 1; j >= 0; --j) {
-    Item* it = chain[static_cast<std::size_t>(j)];
-    const NodeMeta& nm =
-        node_meta_[static_cast<std::size_t>(
-            am.level_node[static_cast<std::size_t>(j)])];
-
-    // Step 1: adjust C^{i_j}_ψ (count address precomputed per level).
-    std::uint64_t& count = *reinterpret_cast<std::uint64_t*>(
-        reinterpret_cast<char*>(it) +
-        am.level_count_off[static_cast<std::size_t>(j)]);
-    if (insert) {
-      ++count;
-    } else {
-      DYNCQ_DCHECK(count > 0);
-      --count;
-    }
-
-    // Step 2 (+2a): recompute C^{i_j} and C̃^{i_j} via Lemmas 6.3/6.4.
-    Weight old_c = it->weight;
-    Weight old_ct = it->weight_free;
-    RecomputeWeights(it, nm);
-
-    // Steps 3 & 4 (+4a): fix list membership and the parent sums.
-    ChildSlot& pslot =
-        j > 0 ? *reinterpret_cast<ChildSlot*>(
-                    reinterpret_cast<char*>(
-                        chain[static_cast<std::size_t>(j - 1)]) +
-                    nm.parent_slot_off)
-              : root_slot_;
-    if (old_c == 0 && it->weight > 0) {
-      ListPushBack(pool_, pslot, it);
-    } else if (old_c > 0 && it->weight == 0) {
-      ListRemove(pool_, pslot, it);
-    }
-    pslot.sum += it->weight - old_c;  // unsigned wrap-around is exact here
-    if (nm.is_free) pslot.sum_free += it->weight_free - old_ct;
-
-    // Step 5: delete the item once no atom is supported by it.
-    if (!insert) {
-      bool all_zero = true;
-      const std::uint64_t* counts = ItemCounts(it);
-      for (int s = 0; s < nm.num_tracked; ++s) {
-        if (counts[s] != 0) {
-          all_zero = false;
-          break;
-        }
-      }
-      if (all_zero) {
-        DYNCQ_DCHECK(!it->in_list && it->weight == 0);
-        const std::uint32_t freed_node = it->node;
-        ChildIndex& idx = j > 0 ? pslot.index : root_index_;
-        bool erased = idx.Erase(it->value);
-        DYNCQ_CHECK(erased);
-        pool_.Free(it);
-        // Re-merge on deletion: the erase may have dropped the parent's
-        // child index back to a single entry of an absorbable node.
-        if (j > 0) {
-          Item* head = chain[static_cast<std::size_t>(j - 1)];
-          if (node_meta_[head->node].absorb_child_node ==
-                  static_cast<int>(freed_node) &&
-              head->run_len == 0 && pslot.index.size() == 1) {
-            MergeRun(head);
-          }
-        }
-      }
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Batched update pipeline.
+// The update pipeline (§6.4). Every update runs through it; a
+// single-tuple update is a batch of one.
 //
-// Phase A (per atom): route the batch's effective deltas to the atom,
-// sort them by root-path key (original order preserved per key, which is
-// enough: for a fixed atom the key determines the whole tuple), and walk
-// the q-tree top-down once per delta, sharing the descent of the common
-// prefix with the previous delta. Only the tracked counts are adjusted;
-// every touched item is recorded (once) with its pre-batch weights.
+// Phase A (per atom): route the batch's effective deltas to the atom and
+// walk the q-tree top-down once per delta, sharing the descent of the
+// common prefix with the previous delta. Only the tracked counts are
+// adjusted; every touched item is recorded (once) with its pre-batch
+// weights.
 //
-// Phase B: process touched items deepest-level first — recompute weights
-// once, fix fit-list membership, push the weight difference into the
-// parent's running sums, and free items whose counts all reached zero.
-// Deferring weight recomputation to one pass per item is what makes a
-// batch cheaper than its updates applied one by one.
+// Phase B: process touched items deepest-level first — re-absorb a lone
+// surviving child into its head, recompute weights once, fix fit-list
+// membership, push the weight difference into the parent's running
+// sums, and free items whose counts all reached zero. Deferring weight
+// recomputation to one pass per item is what makes a batch cheaper than
+// its updates applied one by one.
 // ---------------------------------------------------------------------------
 
-void ComponentEngine::MarkDirty(Item* it, int depth) {
+void ComponentEngine::MarkDirty(Item* it, std::size_t depth) {
   if (it->batch_stamp == batch_epoch_) return;
   it->batch_stamp = batch_epoch_;
-  dirty_[static_cast<std::size_t>(depth)].push_back(
+  dirty_[depth].push_back(
       DirtyItem{it, it->node, it->weight, it->weight_free});
 }
 
@@ -847,29 +591,40 @@ void ComponentEngine::RouteRelGroups(const PendingDelta* deltas,
 
 void ComponentEngine::ApplyBatch(const PendingDelta* deltas, std::size_t n) {
   ++batch_epoch_;
-  RouteRelGroups(deltas, n);
   bool touched = false;
-  for (const AtomMeta& am : atom_meta_) {
-    batch_scratch_.clear();
-    for (std::uint32_t i : rel_groups_[static_cast<std::size_t>(am.rel_group)]) {
-      if (MatchesAtom(am, *deltas[i].tuple)) {
-        batch_scratch_.push_back(
-            AtomDelta{deltas[i].tuple, i, deltas[i].insert});
-      }
+  if (n == 1) {
+    // A batch of one (every single-tuple update): its relation's atoms
+    // are the routing, and there is no block of deltas to prefetch ahead.
+    for (int ai : atoms_of_rel_[deltas->rel]) {
+      const AtomMeta& am = atom_meta_[static_cast<std::size_t>(ai)];
+      if (!MatchesAtom(am, *deltas->tuple)) continue;
+      touched = true;
+      SmallVector<Item*, 8> chain;
+      SmallVector<Value, 8> prev_key;
+      BatchOneDelta(am, *deltas, chain, prev_key);
     }
-    if (batch_scratch_.empty()) continue;
-    touched = true;
-    // Arrival order is kept: for a fixed atom the root-path key determines
-    // the whole tuple, so per-key sequencing (the only ordering phase A
-    // relies on) holds trivially, and the block prefetch sweeps in
-    // BatchDescend recover the memory locality a sort would have bought —
-    // without the pointer-chasing key comparisons.
-    BatchDescend(am, batch_scratch_);
+  } else {
+    RouteRelGroups(deltas, n);
+    for (const AtomMeta& am : atom_meta_) {
+      batch_scratch_.clear();
+      for (std::uint32_t i :
+           rel_groups_[static_cast<std::size_t>(am.rel_group)]) {
+        if (MatchesAtom(am, *deltas[i].tuple)) {
+          batch_scratch_.push_back(&deltas[i]);
+        }
+      }
+      if (batch_scratch_.empty()) continue;
+      touched = true;
+      // Arrival order is kept: for a fixed atom the root-path key
+      // determines the whole tuple, so per-key sequencing (the only
+      // ordering phase A relies on) holds trivially, and the block
+      // prefetch sweeps in BatchDescend recover the memory locality a
+      // sort would have bought — without the pointer-chasing key
+      // comparisons.
+      BatchDescend(am, batch_scratch_);
+    }
   }
-  if (touched) {
-    FlushDirty();
-    RunMergePass();
-  }
+  if (touched) FlushDirty();
 }
 
 // Deltas are consumed in blocks: two prefetch sweeps (root buckets, then
@@ -877,23 +632,20 @@ void ComponentEngine::ApplyBatch(const PendingDelta* deltas, std::size_t n) {
 // before the serial descents run, so the per-delta latency is the line
 // latency divided by the block's memory-level parallelism rather than a
 // full round-trip per update.
-void ComponentEngine::BatchDescend(const AtomMeta& am,
-                                   const std::vector<AtomDelta>& deltas) {
+void ComponentEngine::BatchDescend(
+    const AtomMeta& am, const std::vector<const PendingDelta*>& deltas) {
   constexpr std::size_t kBatchBlock = 32;
-  const std::size_t ndt =
-      static_cast<std::size_t>(am.leaf_inline ? am.d - 1 : am.d);
-  const std::size_t nd = am.tail_absorb ? ndt - 1 : ndt;
   SmallVector<Item*, 8> chain;
   SmallVector<Value, 8> prev_key;
   for (std::size_t base = 0; base < deltas.size(); base += kBatchBlock) {
     const std::size_t end = std::min(base + kBatchBlock, deltas.size());
     for (std::size_t i = base; i < end; ++i) {
-      root_index_.Prefetch((*deltas[i].tuple)[
+      root_index_.Prefetch((*deltas[i]->tuple)[
           static_cast<std::size_t>(am.read_pos[0])]);
     }
     for (std::size_t i = base; i < end; ++i) {
       const Item* root = pool_.Resolve(
-          ItemHandle::FromBits(root_index_.Find((*deltas[i].tuple)[
+          ItemHandle::FromBits(root_index_.Find((*deltas[i]->tuple)[
               static_cast<std::size_t>(am.read_pos[0])])));
       if (root == nullptr) continue;
       // Only the two lines the descent itself needs — the weight fix-up
@@ -904,16 +656,17 @@ void ComponentEngine::BatchDescend(const AtomMeta& am,
       if (am.d > 1) __builtin_prefetch(b + am.level_slot_off[1]);
     }
     for (std::size_t i = base; i < end; ++i) {
-      BatchOneDelta(am, deltas[i], nd, chain, prev_key);
+      BatchOneDelta(am, *deltas[i], chain, prev_key);
     }
   }
 }
 
-void ComponentEngine::BatchOneDelta(const AtomMeta& am, const AtomDelta& ad,
-                                    std::size_t nd,
+void ComponentEngine::BatchOneDelta(const AtomMeta& am,
+                                    const PendingDelta& ad,
                                     SmallVector<Item*, 8>& chain,
                                     SmallVector<Value, 8>& prev_key) {
   const Tuple& t = *ad.tuple;
+  const std::size_t nd = am.nd;
   // Longest prefix shared with the previous delta's path.
   std::size_t lcp = 0;
   while (lcp < chain.size() &&
@@ -950,6 +703,13 @@ void ComponentEngine::BatchOneDelta(const AtomMeta& am, const AtomDelta& ad,
       it = pool_.Resolve(ItemHandle::FromBits(idx.Find(v)));
       DYNCQ_CHECK_MSG(it != nullptr, "batch walk hit a missing item");
     }
+    // The lines phase B reads (weights, counts, child-slot sums) stream
+    // in while the descent goes on.
+    for (std::size_t off :
+         node_meta_[static_cast<std::size_t>(am.level_node[j])]
+             .touch_offsets) {
+      __builtin_prefetch(reinterpret_cast<char*>(it) + off);
+    }
     chain.push_back(it);
     prev_key.push_back(v);
     parent = it;
@@ -959,7 +719,7 @@ void ComponentEngine::BatchOneDelta(const AtomMeta& am, const AtomDelta& ad,
   // fixed up in phase B.
   for (std::size_t j = 0; j < nd; ++j) {
     Item* it = chain[j];
-    MarkDirty(it, static_cast<int>(j));
+    MarkDirty(it, j);
     std::uint64_t& count = *reinterpret_cast<std::uint64_t*>(
         reinterpret_cast<char*>(it) + am.level_count_off[j]);
     if (ad.insert) {
@@ -973,8 +733,8 @@ void ComponentEngine::BatchOneDelta(const AtomMeta& am, const AtomDelta& ad,
   // Absorbable tail level: the item may live as a run record in the
   // head's block. The head is already dirty (prefix loop), and phase B's
   // MaintainRun finalizes the record's weights, so only the count is
-  // adjusted here. Splits register the materialized item with its
-  // pre-batch (record) weights, exactly as MarkDirty would have.
+  // adjusted here. A split registers the materialized item with its
+  // pre-batch (record) weights.
   const std::size_t ndt = am.tail_absorb ? nd + 1 : nd;
   char* rec = nullptr;
   Item* tail_item = nullptr;
@@ -989,13 +749,7 @@ void ComponentEngine::BatchOneDelta(const AtomMeta& am, const AtomDelta& ad,
             v) {
           rec = RunRecBase(head);
         } else {
-          Item* split = SplitRun(head);
-          if (split->batch_stamp != batch_epoch_) {
-            split->batch_stamp = batch_epoch_;
-            dirty_[nd].push_back(DirtyItem{split, split->node,
-                                          split->weight,
-                                          split->weight_free});
-          }
+          MarkDirty(SplitRun(head), nd);
         }
       } else if (vslot.index.empty()) {
         CreateRun(head, v);
@@ -1038,9 +792,7 @@ void ComponentEngine::BatchOneDelta(const AtomMeta& am, const AtomDelta& ad,
             : *reinterpret_cast<std::uint64_t*>(
                   reinterpret_cast<char*>(tail_item) +
                   am.level_count_off[nd]);
-    if (tail_item != nullptr) {
-      MarkDirty(tail_item, static_cast<int>(nd));
-    }
+    if (tail_item != nullptr) MarkDirty(tail_item, nd);
     if (ad.insert) {
       ++count;
     } else {
@@ -1173,6 +925,15 @@ void ComponentEngine::FlushDirty() {
       const DirtyItem& d = level[i];
       Item* it = d.item;
       const NodeMeta& nm = node_meta_[it->node];
+      // Re-merge: a head that lost children this batch was marked dirty
+      // on the way down to them, so every child it has left is final by
+      // now (deeper levels flush first). A lone survivor is re-absorbed.
+      if (nm.absorb_child_node >= 0 && it->run_len == 0 &&
+          reinterpret_cast<ChildSlot*>(reinterpret_cast<char*>(it) +
+                                       nm.slots_off)
+                  ->index.size() == 1) {
+        MergeRun(it);
+      }
       // Steps 2/2a: child running sums are final (deeper levels flushed
       // first, and an absorbed child record is finalized here), so one
       // recomputation per item suffices.
@@ -1205,24 +966,10 @@ void ComponentEngine::FlushDirty() {
       }
       if (all_zero) {
         DYNCQ_DCHECK(!it->in_list && it->weight == 0);
-        const std::uint32_t freed_node = it->node;
         ChildIndex& idx = parent != nullptr ? pslot.index : root_index_;
         bool erased = idx.Erase(it->value);
         DYNCQ_CHECK(erased);
-        // Only absorb-eligible heads can be pending merge candidates, so
-        // only their frees need to reach the merge pass's freed set.
-        if (nm.absorb_child_node >= 0) freed_log_.push_back(it->self);
         pool_.Free(it);
-        // Re-merge candidate: the erase left the parent with a single
-        // materialized child of an absorbable node. Deferred to the
-        // post-batch RunMergePass — the lone sibling may itself be a
-        // later entry of this very dirty level.
-        if (parent != nullptr &&
-            node_meta_[parent->node].absorb_child_node ==
-                static_cast<int>(freed_node) &&
-            parent->run_len == 0 && pslot.index.size() == 1) {
-          merge_cands_.push_back(parent->self);
-        }
       }
     }
     level.clear();

@@ -54,28 +54,10 @@ struct ComponentSnapshot {
   std::size_t dir_cap = 0;  // non-zero once forked: the version owns dir
 };
 
-/// Structural tuning of the item forest. Both transformations are pure
-/// representation changes (enumeration results, counts, and invariants
-/// are bit-identical either way — the differential tests construct
-/// engines with them off to prove it); they exist as flags so the legacy
-/// layout stays testable, not as a user-facing knob.
-struct EngineTuning {
-  /// Leaf nodes tracking k > 1 atoms store stride-(k+2) count records in
-  /// the parent's ChildIndex (counts + fit links) instead of allocating
-  /// leaf Items. Single-atom leaves are always inlined (PR 1 behavior).
-  bool inline_multi_leaves = true;
-  /// Items of fanout-1 q-tree nodes whose single child's children are
-  /// all inlined leaves absorb that child into their own block while it
-  /// is the only child value (run record): splitting lazily when a
-  /// second value appears, re-merging when deletion drops back to one.
-  bool compress_paths = true;
-};
-
 class ComponentEngine {
  public:
   /// `query` must be connected and q-hierarchical; `tree` its q-tree.
-  ComponentEngine(Query query, QTree tree,
-                  const EngineTuning& tuning = EngineTuning{});
+  ComponentEngine(Query query, QTree tree);
 
   ComponentEngine(const ComponentEngine&) = delete;
   ComponentEngine& operator=(const ComponentEngine&) = delete;
@@ -87,37 +69,29 @@ class ComponentEngine {
   const Query& query() const { return query_; }
   const QTree& tree() const { return tree_; }
 
-  /// Applies a base-table change that has already passed set-semantics
-  /// deduplication (the tuple was truly added / removed).
-  void OnInsert(RelId rel, const Tuple& t) { ApplyDelta(rel, t, true); }
-  void OnDelete(RelId rel, const Tuple& t) { ApplyDelta(rel, t, false); }
-
-  /// Batched §6.4: applies `n` effective deltas as one pipeline. Deltas
-  /// for foreign relations (no atom in this component) are skipped.
-  /// Per atom, deltas are sorted by root-path key so consecutive walks
-  /// share their common-prefix descent, and every touched item has its
-  /// weight, fit-list membership, and parent running sums fixed up once
-  /// (bottom-up) instead of once per update.
+  /// §6.4 update procedure for `n` effective deltas (changes that passed
+  /// set-semantics deduplication: the tuple was truly added / removed).
+  /// The one update path: a single-tuple update is a batch of one.
+  /// Deltas for foreign relations (no atom in this component) are
+  /// skipped. Phase A walks each delta top-down, sharing the descent of
+  /// the common prefix with the previous delta of the same atom, and
+  /// adjusts only tracked counts; phase B then fixes every touched item's
+  /// weight, fit-list membership and parent running sums once, bottom-up.
   void ApplyBatch(const PendingDelta* deltas, std::size_t n);
 
   /// Pre-sizes the root index for `n` distinct root values (bulk load).
   void ReserveRoot(std::size_t n) { root_index_.Reserve(n); }
 
-  /// Stage-1 prefetch: hints the root-index bucket lines a delta for
-  /// (rel, t) will probe — a pure hint, never a blocking load. The engine
-  /// issues this before the database's relation-set probe so the bucket
-  /// fetch overlaps that hash work.
+  /// Hints the root-index bucket lines a delta for (rel, t) will probe —
+  /// a pure hint, never a blocking load. The engine issues this before
+  /// the database's relation-set probe so the bucket fetch overlaps that
+  /// hash work.
   void PrefetchDelta(RelId rel, const Tuple& t) const {
     for (int ai : atoms_of_rel_[rel]) {
       const AtomMeta& am = atom_meta_[static_cast<std::size_t>(ai)];
       root_index_.Prefetch(t[static_cast<std::size_t>(am.read_pos[0])]);
     }
   }
-
-  /// Stage-2 prefetch: probes the root index (bucket now resident thanks
-  /// to stage 1) and hints the root item's lines; issued before the
-  /// active-domain bookkeeping so the item fetch overlaps it.
-  void PrefetchWalk(RelId rel, const Tuple& t) const;
 
   /// Cstart: Σ over fit root items of C^i (eq. 11).
   Weight CStart() const { return root_slot_.sum; }
@@ -298,18 +272,21 @@ class ComponentEngine {
     bool leaf_inline = false;
     bool leaf_free = false;  // the inlined leaf is a free node
     // The last materialized level of this walk is an absorbable node:
-    // the level-(nd-2) item may carry it as a run record instead of a
-    // child item (nd = number of materialized-or-absorbed levels).
+    // the level-(nd-1) item may carry it as a run record instead of a
+    // child item.
     bool tail_absorb = false;
+    // Levels that are always materialized items: d, less an inlined leaf
+    // and an absorbable tail.
+    std::size_t nd = 0;
     // With tail_absorb && leaf_inline: the leaf ChildSlot's offset from
     // the run-record base (used when the leaf's parent is absorbed).
     std::size_t run_leaf_slot_off = 0;
   };
 
-  /// A batch-touched item with its pre-batch weights (the values the
-  /// parent's running sums still reflect until the bottom-up fix-up).
-  /// The node index is denormalized so the fix-up pass can prefetch an
-  /// item's lines without first loading its header.
+  /// An item phase A touched, with its pre-batch weights (the values the
+  /// parent's running sums still reflect until phase B fixes it up). The
+  /// node index is denormalized so phase B can prefetch an item's lines
+  /// without first loading its header.
   struct DirtyItem {
     Item* item = nullptr;
     std::uint32_t node = 0;
@@ -317,16 +294,7 @@ class ComponentEngine {
     Weight pre_weight_free = 0;
   };
 
-  /// One delta routed to a specific atom during a batch (phase A input).
-  struct AtomDelta {
-    const Tuple* tuple = nullptr;
-    std::uint32_t seq = 0;  // original batch position (stable tie-break)
-    bool insert = true;
-  };
-
   void FreeSubtree(Item* it);
-  void ApplyDelta(RelId rel, const Tuple& t, bool insert);
-  void ApplyAtomDelta(const AtomMeta& am, const Tuple& t, bool insert);
   bool MatchesAtom(const AtomMeta& am, const Tuple& t) const;
   void FlipLeafEntry(const AtomMeta& am, ChildSlot& slot, const Tuple& t,
                      bool insert);
@@ -356,7 +324,8 @@ class ComponentEngine {
   /// its weight). Called when a second child value appears.
   Item* SplitRun(Item* head);
   /// Absorbs the single remaining child item back into `head`'s record
-  /// and frees it. Requires run_len == 0 and exactly one index entry.
+  /// and frees it. Requires run_len == 0 and exactly one index entry,
+  /// and the child's weights final (phase B flushes it before `head`).
   void MergeRun(Item* head);
   /// Recomputes the absorbed child's weights from its counts and slot
   /// sums and re-publishes them as head's child-slot running sums; drops
@@ -365,23 +334,21 @@ class ComponentEngine {
   void MaintainRun(Item* head);
   /// Destroys the record's ChildSlot objects and re-zeroes the region.
   void DestroyRunSlots(Item* head);
-  /// Applies the deferred re-merges of a batch: every candidate that is
-  /// still alive (not in freed_log_) and still has exactly one child is
-  /// re-absorbed.
-  void RunMergePass();
   /// Routes `deltas` into rel_groups_ (per-relation index lists).
   void RouteRelGroups(const PendingDelta* deltas, std::size_t n);
   /// Phase A over one atom's delta list.
   void BatchDescend(const AtomMeta& am,
-                    const std::vector<AtomDelta>& deltas);
-  void BatchOneDelta(const AtomMeta& am, const AtomDelta& ad,
-                     std::size_t nd, SmallVector<Item*, 8>& chain,
+                    const std::vector<const PendingDelta*>& deltas);
+  /// Phase A for one delta: descends from the longest prefix `chain`
+  /// shares with the previous delta of the same atom (`prev_key`).
+  void BatchOneDelta(const AtomMeta& am, const PendingDelta& ad,
+                     SmallVector<Item*, 8>& chain,
                      SmallVector<Value, 8>& prev_key);
-  /// Phase B over dirty_, deepest level first. Re-merge candidates and
-  /// freed items are logged into merge_cands_ / freed_log_ for the
-  /// post-batch RunMergePass.
+  /// Phase B over dirty_, deepest level first. An eligible head whose
+  /// child index dropped to one entry re-absorbs the survivor here: its
+  /// children were all flushed at deeper levels before it.
   void FlushDirty();
-  void MarkDirty(Item* it, int depth);
+  void MarkDirty(Item* it, std::size_t depth);
   void RecomputeWeights(Item* it, const NodeMeta& nm) const;
   void DumpItem(std::ostream& os, const Item* it, int indent) const;
   void DumpLeafSlot(std::ostream& os, const ChildSlot& slot, int child_node,
@@ -391,7 +358,6 @@ class ComponentEngine {
 
   Query query_;
   QTree tree_;
-  EngineTuning tuning_;
   std::vector<NodeMeta> node_meta_;
   std::vector<AtomMeta> atom_meta_;
   // Routing tables keyed by the handful of relations this component's
@@ -405,16 +371,10 @@ class ComponentEngine {
 
   // Batch pipeline state (scratch, reused across batches).
   std::uint64_t batch_epoch_ = 0;
-  std::vector<AtomDelta> batch_scratch_;
+  std::vector<const PendingDelta*> batch_scratch_;  // one atom's deltas
   // Indexed by atoms_of_rel_'s dense order (AtomMeta::rel_group).
   std::vector<std::vector<std::uint32_t>> rel_groups_;  // rel group -> deltas
   std::vector<std::vector<DirtyItem>> dirty_;  // per q-tree depth
-  // Path compression: heads whose child index dropped to one entry in
-  // phase B (re-merge candidates, applied after the batch) and every
-  // item freed this batch (a candidate that was itself freed later in
-  // the batch must be skipped, not resolved — its handle is stale).
-  std::vector<ItemHandle> merge_cands_;
-  std::vector<ItemHandle> freed_log_;
 };
 
 }  // namespace dyncq::core

@@ -82,16 +82,11 @@ Engine::~Engine() {
 }
 
 Result<std::unique_ptr<Engine>> Engine::Create(const Query& q) {
-  return Create(q, EngineTuning{});
+  return Build(q, nullptr);
 }
 
-Result<std::unique_ptr<Engine>> Engine::Create(const Query& q,
-                                               const EngineTuning& tuning) {
-  return Build(q, nullptr, tuning);
-}
-
-Result<std::unique_ptr<Engine>> Engine::CreateShared(
-    const Query& q, Database* shared, const EngineTuning& tuning) {
+Result<std::unique_ptr<Engine>> Engine::CreateShared(const Query& q,
+                                                     Database* shared) {
   using R = Result<std::unique_ptr<Engine>>;
   DYNCQ_CHECK(shared != nullptr);
   // RelIds in incoming deltas are the shared schema's, so the query's
@@ -102,15 +97,14 @@ Result<std::unique_ptr<Engine>> Engine::CreateShared(
     return R::Error("CreateShared: query schema is not a prefix of the "
                     "shared database's schema");
   }
-  auto engine = Build(q, shared, tuning);
+  auto engine = Build(q, shared);
   if (!engine.ok()) return engine;
   if (shared->NumTuples() > 0) (*engine)->SyncFromStorage();
   return engine;
 }
 
 Result<std::unique_ptr<Engine>> Engine::Build(const Query& q,
-                                              Database* shared,
-                                              const EngineTuning& tuning) {
+                                              Database* shared) {
   if (!IsQHierarchical(q)) {
     return Result<std::unique_ptr<Engine>>::Error(
         "query is not q-hierarchical: " + q.ToString());
@@ -134,7 +128,7 @@ Result<std::unique_ptr<Engine>> Engine::Build(const Query& q,
     }
     if (!comp.head().empty()) engine->has_free_component_ = true;
     engine->components_.push_back(std::make_unique<ComponentEngine>(
-        std::move(comp), std::move(tree.value()), tuning));
+        std::move(comp), std::move(tree.value())));
   }
   return engine;
 }
@@ -232,22 +226,6 @@ void Engine::PrepareWrite() {
     cow_on_ = cow;
   }
   MaybeReclaimRetired();
-}
-
-void Engine::ApplySharedDelta(const PendingDelta& d) {
-  DYNCQ_DCHECK(owned_db_ == nullptr);
-  for (int c : comps_of_rel_[d.rel]) {
-    components_[static_cast<std::size_t>(c)]->PrefetchWalk(d.rel, *d.tuple);
-  }
-  BumpRevision();
-  for (int c : comps_of_rel_[d.rel]) {
-    auto& comp = components_[static_cast<std::size_t>(c)];
-    if (d.insert) {
-      comp->OnInsert(d.rel, *d.tuple);
-    } else {
-      comp->OnDelete(d.rel, *d.tuple);
-    }
-  }
 }
 
 void Engine::ApplySharedDeltas(const PendingDelta* deltas, std::size_t n) {
@@ -378,25 +356,18 @@ bool Engine::Apply(const UpdateCmd& cmd) {
   // Pinned version bookkeeping first: the fork must precede every
   // mutation, and reclamation piggybacks on the write path.
   PrepareWrite();
-  // Latency pipeline: the update walk's dependent cache accesses (root
-  // item, then deeper items) are requested in stages that overlap the
-  // database's own hash work, so serial misses become parallel ones.
+  // The root-index buckets the update will probe stream in while the
+  // database does its own hash work.
   for (int c : comps_of_rel_[cmd.rel]) {
     components_[static_cast<std::size_t>(c)]->PrefetchDelta(cmd.rel,
                                                             cmd.tuple);
   }
   if (!db_->Apply(cmd)) return false;  // no-op update
   BumpRevision();
+  // A single update is a batch of one through each affected component.
+  const PendingDelta d{cmd.rel, &cmd.tuple, cmd.kind == UpdateKind::kInsert};
   for (int c : comps_of_rel_[cmd.rel]) {
-    components_[static_cast<std::size_t>(c)]->PrefetchWalk(cmd.rel,
-                                                           cmd.tuple);
-  }
-  for (int c : comps_of_rel_[cmd.rel]) {
-    if (cmd.kind == UpdateKind::kInsert) {
-      components_[static_cast<std::size_t>(c)]->OnInsert(cmd.rel, cmd.tuple);
-    } else {
-      components_[static_cast<std::size_t>(c)]->OnDelete(cmd.rel, cmd.tuple);
-    }
+    components_[static_cast<std::size_t>(c)]->ApplyBatch(&d, 1);
   }
   return true;
 }

@@ -30,13 +30,6 @@ class Engine final : public DynamicQueryEngine {
   /// QuerySession (core/session.h) is the strategy-selecting front door.
   [[nodiscard]] static Result<std::unique_ptr<Engine>> Create(const Query& q);
 
-  /// Same, with explicit structural tuning (leaf inlining and path
-  /// compression flags). The default tuning enables both; the override
-  /// exists for the differential tests that prove the transformations
-  /// are pure representation changes.
-  [[nodiscard]] static Result<std::unique_ptr<Engine>> Create(const Query& q,
-                                                const EngineTuning& tuning);
-
   /// Preprocessing phase on an initial database: initializes the empty
   /// structure and replays |D0| inserts — linear total time by constant
   /// update time (paper §6.4).
@@ -55,10 +48,9 @@ class Engine final : public DynamicQueryEngine {
   /// In this mode the single-owner write paths (Apply / ApplyBatch /
   /// Preload of a foreign database) are misuse and throw: the registry
   /// owns the write order. Writers drive the engine with
-  /// PrepareSharedWrite + ApplySharedDelta(s) instead.
+  /// PrepareSharedWrite + ApplySharedDeltas instead.
   [[nodiscard]] static Result<std::unique_ptr<Engine>> CreateShared(
-      const Query& q, Database* shared,
-      const EngineTuning& tuning = EngineTuning{});
+      const Query& q, Database* shared);
 
   ~Engine() override;  // destroys registered versions first
 
@@ -112,8 +104,8 @@ class Engine final : public DynamicQueryEngine {
   //      of them mutates (a pinned snapshot forks off the pre-update
   //      structure);
   //   2. the one Database::Apply;
-  //   3. ApplySharedDelta / ApplySharedDeltas on each affected engine
-  //      with the effective deltas (no-ops filtered by step 2).
+  //   3. ApplySharedDeltas on each affected engine with the effective
+  //      deltas (no-ops filtered by step 2).
   //
   // The tuples PendingDelta borrows must outlive the call.
 
@@ -122,12 +114,10 @@ class Engine final : public DynamicQueryEngine {
   /// switch copy-on-write for this write and reclaim retired blocks.
   void PrepareSharedWrite() { PrepareWrite(); }
 
-  /// Routes one effective delta to the affected components (the
-  /// single-update path of §6.2: O(1) for q-hierarchical queries).
-  void ApplySharedDelta(const PendingDelta& d);
-
-  /// Batched variant: one revision bump, then every component sees the
-  /// full effective list through its batch pipeline.
+  /// One revision bump, then every component runs the effective list
+  /// through its update pipeline (a component skips deltas on relations
+  /// it has no atom over). A single update is a batch of one: O(1) for
+  /// q-hierarchical queries (§6.4).
   void ApplySharedDeltas(const PendingDelta* deltas, std::size_t n);
 
   /// Builds the structure from the shared database's current contents
@@ -192,8 +182,7 @@ class Engine final : public DynamicQueryEngine {
 
   /// Common factory body behind Create / CreateShared.
   [[nodiscard]] static Result<std::unique_ptr<Engine>> Build(const Query& q,
-                                               Database* shared,
-                                               const EngineTuning& tuning);
+                                               Database* shared);
 
   /// The engine's snapshot payload: one ComponentSnapshot per component.
   /// Defined in engine.cc; befriended so it can disarm the fork flag and

@@ -163,7 +163,7 @@ bool QueryRegistry::ApplyDelta(const UpdateCmd& cmd) {
   for (Entry* e : subs) {
     ++stats_.notifications;
     if (e->shared != nullptr) {
-      e->shared->ApplySharedDelta(d);
+      e->shared->ApplySharedDeltas(&d, 1);
     } else {
       // Private-storage fallback: its database is the projection of the
       // shared one onto the query's relations (it sees exactly the

@@ -151,7 +151,7 @@ class QueryRegistry {
     Query query;  // the registered query (first registrant's copy)
     std::unique_ptr<DynamicQueryEngine> engine;
     // Non-null iff `engine` is a shared-storage core::Engine — the fast
-    // path driven via PrepareSharedWrite/ApplySharedDelta(s). Fallback
+    // path driven via PrepareSharedWrite/ApplySharedDeltas. Fallback
     // engines (private storage) are driven through plain Apply.
     core::Engine* shared = nullptr;
     core::EngineStrategy strategy = core::EngineStrategy::kDeltaIvm;

@@ -1,13 +1,13 @@
-// Differential test for the structural tuning pair: generalized leaf
+// Differential test for the item-forest layout: generalized leaf
 // inlining (stride-(k+2) count records for k>1-atom leaves) and path
 // compression (fanout-1 heads absorbing their single child as a run
-// record). Engines with each flag combination, a batch-only engine, and
-// the DeltaIvm/Recompute oracles must agree on
-// counts, enumeration (full cursors AND partitioned cursors), and the
-// internal invariants under randomized insert/delete churn that forces
-// records to split, re-merge, and drain. A chain workload additionally
-// pins the point of the whole exercise: the compressed engine allocates
-// measurably fewer live ItemPool items for the same database.
+// record). An engine fed single updates and batches, a batch-only
+// engine, and the DeltaIvm/Recompute oracles must agree on counts,
+// enumeration (full cursors AND partitioned cursors), and the internal
+// invariants under randomized insert/delete churn that forces records to
+// split, re-merge, and drain. Deterministic single-update and batch
+// walks pin the split / re-merge transitions, and two bulk loads pin the
+// exact number of live ItemPool items the layout allocates.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,16 +28,8 @@ namespace {
 using testing::MustParse;
 using testing::SameTupleSet;
 
-core::EngineTuning Tuning(bool inline_multi, bool compress) {
-  core::EngineTuning t;
-  t.inline_multi_leaves = inline_multi;
-  t.compress_paths = compress;
-  return t;
-}
-
-std::unique_ptr<core::Engine> MakeEngine(const Query& q,
-                                         const core::EngineTuning& t) {
-  auto r = core::Engine::Create(q, t);
+std::unique_ptr<core::Engine> MakeEngine(const Query& q) {
+  auto r = core::Engine::Create(q);
   EXPECT_TRUE(r.ok()) << r.error();
   return std::move(r.value());
 }
@@ -59,23 +51,17 @@ std::vector<Tuple> DrainPartitions(core::Engine& engine, std::size_t k) {
   return out;
 }
 
-/// The same randomized stream through every tuning combination, a
-/// batch-only engine, and both oracles. Small domains force key
-/// collisions, so run records split (second child value) and re-merge
-/// (deletion back to one) constantly.
-void RunTuningDifferential(const Query& q, std::uint64_t seed,
+/// The same randomized stream through the engine, a batch-only engine,
+/// and both oracles. Small domains force key collisions, so run records
+/// split (second child value) and re-merge (deletion back to one)
+/// constantly.
+void RunLayoutDifferential(const Query& q, std::uint64_t seed,
                            std::size_t rounds, std::size_t domain) {
   SCOPED_TRACE(q.ToString());
-  auto tuned = MakeEngine(q, Tuning(true, true));
-  auto legacy = MakeEngine(q, Tuning(false, false));
-  auto inline_only = MakeEngine(q, Tuning(true, false));
-  auto compress_only = MakeEngine(q, Tuning(false, true));
-  std::vector<core::Engine*> engines = {tuned.get(), legacy.get(),
-                                        inline_only.get(),
-                                        compress_only.get()};
-  // Takes every round as a batch, so on single-update rounds it checks
-  // the batch pipeline against the single-update one.
-  auto batched = MakeEngine(q, Tuning(true, true));
+  auto engine = MakeEngine(q);
+  // Takes every round as one batch, so on single-update rounds it checks
+  // batches of one against a batch of the whole round.
+  auto batched = MakeEngine(q);
   baseline::DeltaIvmEngine ivm(q);
   baseline::RecomputeEngine rec(q);
 
@@ -93,20 +79,15 @@ void RunTuningDifferential(const Query& q, std::uint64_t seed,
     const std::span<const UpdateCmd> span(batch);
 
     if (round % 3 == 0) {
-      // Single-update path: Apply one by one (exercises the immediate
-      // split/merge transitions instead of the deferred batch ones).
+      // Single updates: Apply one by one (each a batch of one, so every
+      // split/merge transition happens at the next update's phase B).
       // Effective-op counts are only comparable within the same replay
       // mode (the batch fold legitimately annihilates inverse pairs), so
       // the batch-only engine takes the batch and converges on the same
       // final state instead.
       std::size_t expect = 0;
       for (const UpdateCmd& cmd : batch) {
-        expect += tuned->Apply(cmd) ? 1 : 0;
-      }
-      for (std::size_t e = 1; e < engines.size(); ++e) {
-        std::size_t n = 0;
-        for (const UpdateCmd& cmd : batch) n += engines[e]->Apply(cmd);
-        ASSERT_EQ(n, expect) << "round " << round;
+        expect += engine->Apply(cmd) ? 1 : 0;
       }
       std::size_t ivm_n = 0, rec_n = 0;
       for (const UpdateCmd& cmd : batch) {
@@ -117,40 +98,31 @@ void RunTuningDifferential(const Query& q, std::uint64_t seed,
       ASSERT_EQ(rec_n, expect) << "round " << round;
       batched->ApplyBatch(span);
     } else {
-      const std::size_t expect = tuned->ApplyBatch(span);
-      for (std::size_t e = 1; e < engines.size(); ++e) {
-        ASSERT_EQ(engines[e]->ApplyBatch(span), expect)
-            << "round " << round;
-      }
+      const std::size_t expect = engine->ApplyBatch(span);
       ASSERT_EQ(ivm.ApplyBatch(span), expect) << "round " << round;
       ASSERT_EQ(rec.ApplyBatch(span), expect) << "round " << round;
       ASSERT_EQ(batched->ApplyBatch(span), expect) << "round " << round;
     }
 
-    for (core::Engine* e : engines) CheckAllInvariants(*e);
+    CheckAllInvariants(*engine);
     CheckAllInvariants(*batched);
 
     if (round % 5 == 0) {
-      const Weight count = tuned->Count();
-      auto result = MaterializeResult(*tuned);
+      const Weight count = engine->Count();
+      auto result = MaterializeResult(*engine);
       ASSERT_EQ(Weight{result.size()}, count) << "round " << round;
       ASSERT_EQ(ivm.Count(), count) << "round " << round;
       ASSERT_TRUE(SameTupleSet(result, MaterializeResult(ivm)))
           << "round " << round;
       ASSERT_TRUE(SameTupleSet(result, MaterializeResult(rec)))
           << "round " << round;
-      for (core::Engine* e : engines) {
-        ASSERT_EQ(e->Count(), count) << "round " << round;
-        ASSERT_TRUE(SameTupleSet(result, MaterializeResult(*e)))
-            << "round " << round;
-      }
       ASSERT_EQ(batched->Count(), count) << "round " << round;
       ASSERT_TRUE(SameTupleSet(result, MaterializeResult(*batched)))
           << "round " << round;
       // Partitioned cursors: the k-way union must be the same multiset,
       // compressed runs and strided leaves included.
       for (std::size_t k : {std::size_t{2}, std::size_t{3}}) {
-        ASSERT_TRUE(SameTupleSet(result, DrainPartitions(*tuned, k)))
+        ASSERT_TRUE(SameTupleSet(result, DrainPartitions(*engine, k)))
             << "round " << round << " partitions " << k;
       }
     }
@@ -161,34 +133,34 @@ TEST(InlineCompressTest, MultiAtomLeaf) {
   // y tracks two atoms: stride-4 records (2 counts + fit links) in the
   // root items' child tables; partial records (R without S) are present
   // but unfit.
-  RunTuningDifferential(MustParse("Q(x, y) :- R(x, y), S(x, y)."), 11, 100,
+  RunLayoutDifferential(MustParse("Q(x, y) :- R(x, y), S(x, y)."), 11, 100,
                         12);
 }
 
 TEST(InlineCompressTest, MultiAtomLeafBound) {
   // The strided leaf is a bound node: fit records count toward C but not
   // toward the projection.
-  RunTuningDifferential(MustParse("Q(x) :- R(x, y), S(x, y)."), 22, 100,
+  RunLayoutDifferential(MustParse("Q(x) :- R(x, y), S(x, y)."), 22, 100,
                         10);
 }
 
 TEST(InlineCompressTest, MultiAtomLeafUnderStar) {
   // Strided leaf beside a unit leaf under the same root.
-  RunTuningDifferential(
+  RunLayoutDifferential(
       MustParse("Q(x, y, z) :- R(x, y), S(x, y), T(x, z)."), 33, 90, 10);
 }
 
 TEST(InlineCompressTest, Chain3PathCompression) {
   // x -> y -> z chain: the root absorbs its single y child while it has
   // one value; z is a unit leaf inside the run record.
-  RunTuningDifferential(
+  RunLayoutDifferential(
       MustParse("Q(x, y, z) :- R(x), S(x, y), T(x, y, z)."), 44, 100, 8);
 }
 
 TEST(InlineCompressTest, Chain4PathCompression) {
   // w -> x -> y -> z: x absorbs y (whose z child is a unit leaf); w
   // stays a plain parent of x items.
-  RunTuningDifferential(
+  RunLayoutDifferential(
       MustParse("Q(w, x, y, z) :- R(w, x), S(w, x, y), T(w, x, y, z)."),
       55, 80, 6);
 }
@@ -196,7 +168,7 @@ TEST(InlineCompressTest, Chain4PathCompression) {
 TEST(InlineCompressTest, CompressedRunWithStridedLeaf) {
   // The richest block: the absorbed y level carries a stride-4 leaf
   // table (z tracks S and T) inside the run record.
-  RunTuningDifferential(
+  RunLayoutDifferential(
       MustParse("Q(x, y, z) :- R(x, y), S(x, y, z), T(x, y, z)."), 66, 90,
       7);
 }
@@ -204,14 +176,14 @@ TEST(InlineCompressTest, CompressedRunWithStridedLeaf) {
 TEST(InlineCompressTest, CompressedRunProjectedAway) {
   // Bound compressed run: y and z are projected away, so the record only
   // feeds counts, never the enumerator.
-  RunTuningDifferential(MustParse("Q(x) :- R(x, y), S(x, y, z)."), 77, 90,
+  RunLayoutDifferential(MustParse("Q(x) :- R(x, y), S(x, y, z)."), 77, 90,
                         8);
 }
 
 TEST(InlineCompressTest, SelfJoinStridedLeaf) {
   // A self-join whose two atoms land in the same leaf with different
   // argument patterns.
-  RunTuningDifferential(MustParse("Q(x, y) :- R(x, y), R(y, x)."), 88, 90,
+  RunLayoutDifferential(MustParse("Q(x, y) :- R(x, y), R(y, x)."), 88, 90,
                         10);
 }
 
@@ -219,53 +191,133 @@ TEST(InlineCompressTest, SplitMergeLifecycle) {
   // Deterministic split / re-merge walk on the 3-level chain, pinning
   // the state transitions the randomized churn only hits by chance.
   Query q = MustParse("Q(x, y, z) :- R(x), S(x, y), T(x, y, z).");
-  auto tuned = MakeEngine(q, Tuning(true, true));
-  auto legacy = MakeEngine(q, Tuning(false, false));
+  auto engine = MakeEngine(q);
   baseline::DeltaIvmEngine ivm(q);
 
   auto apply_all = [&](const UpdateCmd& cmd) {
-    EXPECT_TRUE(tuned->Apply(cmd));
-    EXPECT_TRUE(legacy->Apply(cmd));
+    EXPECT_TRUE(engine->Apply(cmd));
     EXPECT_TRUE(ivm.Apply(cmd));
-    CheckAllInvariants(*tuned);
-    CheckAllInvariants(*legacy);
-    EXPECT_EQ(tuned->Count(), ivm.Count());
-    EXPECT_TRUE(SameTupleSet(MaterializeResult(*tuned),
+    CheckAllInvariants(*engine);
+    EXPECT_EQ(engine->Count(), ivm.Count());
+    EXPECT_TRUE(SameTupleSet(MaterializeResult(*engine),
                              MaterializeResult(ivm)));
   };
 
   apply_all(UpdateCmd::Insert(0, {1}));          // R(1)
   apply_all(UpdateCmd::Insert(1, {1, 10}));      // S(1,10): run created
-  EXPECT_EQ(tuned->NumItems(), 1u);              // y=10 absorbed
-  EXPECT_EQ(legacy->NumItems(), 2u);
+  EXPECT_EQ(engine->NumItems(), 1u);              // y=10 absorbed
   apply_all(UpdateCmd::Insert(2, {1, 10, 100}));  // T under the run
   apply_all(UpdateCmd::Insert(2, {1, 10, 101}));
-  EXPECT_EQ(tuned->NumItems(), 1u);
+  EXPECT_EQ(engine->NumItems(), 1u);
   apply_all(UpdateCmd::Insert(1, {1, 11}));      // second y value: split
-  EXPECT_EQ(tuned->NumItems(), 3u);              // x + two y items
+  EXPECT_EQ(engine->NumItems(), 3u);              // x + two y items
   apply_all(UpdateCmd::Insert(2, {1, 11, 100}));
   apply_all(UpdateCmd::Delete(1, {1, 11}));      // back to one y: but T(1,11,100) still tracks it
-  EXPECT_EQ(tuned->NumItems(), 3u);
+  EXPECT_EQ(engine->NumItems(), 3u);
   apply_all(UpdateCmd::Delete(2, {1, 11, 100}));  // y=11 dies: re-merge
-  EXPECT_EQ(tuned->NumItems(), 1u);
+  EXPECT_EQ(engine->NumItems(), 1u);
   apply_all(UpdateCmd::Delete(2, {1, 10, 100}));
   apply_all(UpdateCmd::Delete(2, {1, 10, 101}));
   apply_all(UpdateCmd::Delete(1, {1, 10}));      // record drains away
-  EXPECT_EQ(tuned->NumItems(), 1u);              // root alive through R(1)
+  EXPECT_EQ(engine->NumItems(), 1u);              // root alive through R(1)
   apply_all(UpdateCmd::Delete(0, {1}));
-  EXPECT_EQ(tuned->NumItems(), 0u);
-  EXPECT_EQ(legacy->NumItems(), 0u);
+  EXPECT_EQ(engine->NumItems(), 0u);
+}
+
+/// The batch counterpart of SplitMergeLifecycle's step checker: applies
+/// `cmds` as ONE batch to the engine and the oracle, then checks the
+/// invariants, the exact live item count, and count + result set.
+void ApplyBatchStep(core::Engine& engine, baseline::DeltaIvmEngine& ivm,
+                    const UpdateStream& cmds, std::size_t items) {
+  const std::span<const UpdateCmd> span(cmds);
+  EXPECT_EQ(engine.ApplyBatch(span), cmds.size());
+  EXPECT_EQ(ivm.ApplyBatch(span), cmds.size());
+  CheckAllInvariants(engine);
+  EXPECT_EQ(engine.NumItems(), items);
+  EXPECT_EQ(engine.Count(), ivm.Count());
+  EXPECT_TRUE(SameTupleSet(MaterializeResult(engine),
+                           MaterializeResult(ivm)));
+}
+
+TEST(InlineCompressTest, BatchMergesSurvivorOfTwoDeletedSiblings) {
+  // One batch deletes two of three y children under one head: the
+  // survivor (with its leaf table) is re-absorbed in the same phase B.
+  Query q = MustParse("Q(x, y, z) :- R(x), S(x, y), T(x, y, z).");
+  auto engine = MakeEngine(q);
+  baseline::DeltaIvmEngine ivm(q);
+  ApplyBatchStep(*engine, ivm,
+                 {UpdateCmd::Insert(0, {1}), UpdateCmd::Insert(1, {1, 10}),
+                  UpdateCmd::Insert(1, {1, 11}),
+                  UpdateCmd::Insert(1, {1, 12}),
+                  UpdateCmd::Insert(2, {1, 10, 100}),
+                  UpdateCmd::Insert(2, {1, 10, 101}),
+                  UpdateCmd::Insert(2, {1, 11, 110})},
+                 4);  // x + three y items
+  ApplyBatchStep(*engine, ivm,
+                 {UpdateCmd::Delete(1, {1, 11}),
+                  UpdateCmd::Delete(2, {1, 11, 110}),
+                  UpdateCmd::Delete(1, {1, 12})},
+                 1);  // y=10 re-merged into x
+  ApplyBatchStep(*engine, ivm,
+                 {UpdateCmd::Delete(2, {1, 10, 100}),
+                  UpdateCmd::Insert(2, {1, 10, 102})},
+                 1);  // the merged record keeps serving its leaf table
+}
+
+TEST(InlineCompressTest, BatchDrainsHeadAndAllChildren) {
+  // One batch deletes a head and every child below it: nothing is left
+  // to merge, and no handle of a freed item is resolved. A second head
+  // beside it keeps a split pair, and a third keeps its run record.
+  Query q = MustParse("Q(x, y, z) :- R(x), S(x, y), T(x, y, z).");
+  auto engine = MakeEngine(q);
+  baseline::DeltaIvmEngine ivm(q);
+  ApplyBatchStep(*engine, ivm,
+                 {UpdateCmd::Insert(0, {1}), UpdateCmd::Insert(1, {1, 10}),
+                  UpdateCmd::Insert(1, {1, 11}),
+                  UpdateCmd::Insert(2, {1, 10, 100}),
+                  UpdateCmd::Insert(2, {1, 11, 110}),
+                  UpdateCmd::Insert(0, {2}), UpdateCmd::Insert(1, {2, 20}),
+                  UpdateCmd::Insert(1, {2, 21}),
+                  UpdateCmd::Insert(0, {3}),
+                  UpdateCmd::Insert(1, {3, 30})},
+                 7);  // x=1 + 2 y, x=2 + 2 y, x=3 (y=30 absorbed)
+  ApplyBatchStep(*engine, ivm,
+                 {UpdateCmd::Delete(2, {1, 10, 100}),
+                  UpdateCmd::Delete(1, {1, 10}),
+                  UpdateCmd::Delete(0, {1}),
+                  UpdateCmd::Delete(1, {1, 11}),
+                  UpdateCmd::Delete(2, {1, 11, 110}),
+                  UpdateCmd::Delete(1, {3, 30}),
+                  UpdateCmd::Delete(0, {3})},
+                 3);  // only x=2 and its two y items remain
+}
+
+TEST(InlineCompressTest, BatchSplitThenOriginalDies) {
+  // One batch inserts a second y, which splits the run record, and
+  // deletes the original y: the new item re-merges in the same batch.
+  Query q = MustParse("Q(x, y, z) :- R(x), S(x, y), T(x, y, z).");
+  auto engine = MakeEngine(q);
+  baseline::DeltaIvmEngine ivm(q);
+  ApplyBatchStep(*engine, ivm,
+                 {UpdateCmd::Insert(0, {1}), UpdateCmd::Insert(1, {1, 10}),
+                  UpdateCmd::Insert(2, {1, 10, 100})},
+                 1);  // y=10 absorbed
+  ApplyBatchStep(*engine, ivm,
+                 {UpdateCmd::Insert(1, {1, 11}),
+                  UpdateCmd::Insert(2, {1, 11, 110}),
+                  UpdateCmd::Delete(2, {1, 10, 100}),
+                  UpdateCmd::Delete(1, {1, 10})},
+                 1);  // y=11 absorbed in place of y=10
+  ApplyBatchStep(*engine, ivm, {UpdateCmd::Delete(1, {1, 11})},
+                 1);  // T(1,11,110) still tracks y=11: record stays
 }
 
 TEST(InlineCompressTest, ChainWorkloadAllocationReduction) {
-  // The acceptance metric: on a chain-shaped load with mostly-distinct
-  // paths, path compression plus leaf inlining must hold measurably
-  // fewer live ItemPool items than the legacy layout for the same
-  // database (here: exactly half — the per-path y item is absorbed and
-  // z was already a unit leaf).
+  // On a chain-shaped load with distinct paths, path compression plus
+  // leaf inlining hold exactly one live ItemPool item per path: the
+  // per-path y item is absorbed and z is a unit leaf.
   Query q = MustParse("Q(x, y, z) :- R(x), S(x, y), T(x, y, z).");
-  auto tuned = MakeEngine(q, Tuning(true, true));
-  auto legacy = MakeEngine(q, Tuning(false, false));
+  auto engine = MakeEngine(q);
 
   const Value n = 2000;
   UpdateStream load;
@@ -275,22 +327,18 @@ TEST(InlineCompressTest, ChainWorkloadAllocationReduction) {
     load.push_back(UpdateCmd::Insert(2, {i, i + n, i + 2 * n}));
   }
   const std::span<const UpdateCmd> span(load);
-  ASSERT_EQ(tuned->ApplyBatch(span), load.size());
-  ASSERT_EQ(legacy->ApplyBatch(span), load.size());
-  CheckAllInvariants(*tuned);
-  ASSERT_EQ(tuned->Count(), legacy->Count());
+  ASSERT_EQ(engine->ApplyBatch(span), load.size());
+  CheckAllInvariants(*engine);
+  ASSERT_EQ(engine->Count(), Weight{n});
 
-  EXPECT_EQ(legacy->NumItems(), static_cast<std::size_t>(2 * n));
-  EXPECT_EQ(tuned->NumItems(), static_cast<std::size_t>(n));
-  EXPECT_LE(tuned->NumItems() * 2, legacy->NumItems());
+  EXPECT_EQ(engine->NumItems(), static_cast<std::size_t>(n));
 }
 
 TEST(InlineCompressTest, StridedLeafAllocationReduction) {
   // Same metric for generalized leaf inlining alone: a k=2 leaf holds
   // its items as records, so only the roots are allocated.
   Query q = MustParse("Q(x, y) :- R(x, y), S(x, y).");
-  auto tuned = MakeEngine(q, Tuning(true, false));
-  auto legacy = MakeEngine(q, Tuning(false, false));
+  auto engine = MakeEngine(q);
 
   const Value n = 1000;
   UpdateStream load;
@@ -300,13 +348,11 @@ TEST(InlineCompressTest, StridedLeafAllocationReduction) {
     load.push_back(UpdateCmd::Insert(1, {x, i + n}));
   }
   const std::span<const UpdateCmd> span(load);
-  ASSERT_EQ(tuned->ApplyBatch(span), load.size());
-  ASSERT_EQ(legacy->ApplyBatch(span), load.size());
-  CheckAllInvariants(*tuned);
-  ASSERT_EQ(tuned->Count(), legacy->Count());
+  ASSERT_EQ(engine->ApplyBatch(span), load.size());
+  CheckAllInvariants(*engine);
+  ASSERT_EQ(engine->Count(), Weight{n});
 
-  EXPECT_EQ(tuned->NumItems(), 50u);                   // roots only
-  EXPECT_EQ(legacy->NumItems(), 50u + n);              // + leaf items
+  EXPECT_EQ(engine->NumItems(), 50u);  // roots only
 }
 
 }  // namespace

@@ -287,7 +287,7 @@ TEST(RegistryTest, SharedWriteProtocolByHand) {
   (*eng)->PrepareSharedWrite();
   ASSERT_TRUE(db.Apply(cmd));
   core::PendingDelta d{cmd.rel, &cmd.tuple, true};
-  (*eng)->ApplySharedDelta(d);
+  (*eng)->ApplySharedDeltas(&d, 1);
   EXPECT_EQ((*eng)->Count(), Weight{1});
   EXPECT_TRUE((*eng)->shares_storage());
   EXPECT_EQ(&(*eng)->db(), &db);
