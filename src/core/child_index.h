@@ -70,7 +70,7 @@ class ChildIndex {
   ChildIndex(const ChildIndex&) = delete;
   ChildIndex& operator=(const ChildIndex&) = delete;
   ~ChildIndex() {
-    if (slots_ != nullptr) Deallocate(slots_, (mask_ + 1) * rec_words_);
+    if (slots_ != nullptr) Deallocate(slots_, HeapCap() * rec_words_);
   }
 
   std::size_t size() const { return size_; }
@@ -82,15 +82,16 @@ class ChildIndex {
   std::size_t stride() const { return rec_words_ - 1; }
   void set_stride(std::size_t payload_words) {
     DYNCQ_DCHECK(size_ == 0 && slots_ == nullptr);
-    DYNCQ_DCHECK(payload_words >= 1);
-    rec_words_ = static_cast<std::uint32_t>(payload_words + 1);
+    DYNCQ_DCHECK(payload_words >= 1 && payload_words < 255);
+    rec_words_ = static_cast<std::uint8_t>(payload_words + 1);
   }
 
   /// Hints the cache line holding `v`'s probe start into cache. Used to
   /// overlap the root-index miss with the database's own hash probes.
   void Prefetch(Value v) const {
     if (slots_ != nullptr) {
-      __builtin_prefetch(&slots_[(Mix64(v) & mask_) * rec_words_]);
+      __builtin_prefetch(
+          &slots_[(Mix64(v) & (HeapCap() - 1)) * rec_words_]);
     }
   }
 
@@ -109,12 +110,13 @@ class ChildIndex {
       }
       return nullptr;
     }
-    std::size_t i = Mix64(v) & mask_;
+    const std::size_t mask = HeapCap() - 1;
+    std::size_t i = Mix64(v) & mask;
     std::uint64_t* rec = slots_ + i * rw;
     while (true) {
       if (rec[0] == v) return rec;
       if (rec[0] == 0) return nullptr;
-      if (++i > mask_) {
+      if (++i > mask) {
         i = 0;
         rec = slots_;
       } else {
@@ -158,12 +160,13 @@ class ChildIndex {
       }
       GrowToHeap(kInitialHeapRecords);
     }
-    std::size_t i = Mix64(v) & mask_;
+    std::size_t mask = HeapCap() - 1;
+    std::size_t i = Mix64(v) & mask;
     std::uint64_t* rec = slots_ + i * rw;
     while (true) {
       if (rec[0] == v) return rec;
       if (rec[0] == 0) break;
-      if (++i > mask_) {
+      if (++i > mask) {
         i = 0;
         rec = slots_;
       } else {
@@ -172,13 +175,14 @@ class ChildIndex {
     }
     // Not present: grow only now, on an actual insertion (a find of a
     // present key at the load threshold must not rehash).
-    const std::size_t cap = mask_ + 1;
+    const std::size_t cap = mask + 1;
     if (size_ + 1 >= cap - cap / 4) {  // 3/4 load, overflow-free
       GrowToHeap(GrownCapacity(cap));
-      i = Mix64(v) & mask_;
+      mask = HeapCap() - 1;
+      i = Mix64(v) & mask;
       rec = slots_ + i * rw;
       while (rec[0] != 0) {
-        if (++i > mask_) {
+        if (++i > mask) {
           i = 0;
           rec = slots_;
         } else {
@@ -216,19 +220,20 @@ class ChildIndex {
       }
       return false;
     }
-    std::size_t i = Mix64(v) & mask_;
+    const std::size_t mask = HeapCap() - 1;
+    std::size_t i = Mix64(v) & mask;
     while (slots_[i * rec_words_] != v) {
       if (slots_[i * rec_words_] == 0) return false;
-      i = (i + 1) & mask_;
+      i = (i + 1) & mask;
     }
     // Backward-shift deletion: close the probe-sequence gap at i.
     ZeroRecord(slots_ + i * rec_words_);
     --size_;
     std::size_t j = i;
     while (true) {
-      j = (j + 1) & mask_;
+      j = (j + 1) & mask;
       if (slots_[j * rec_words_] == 0) break;
-      std::size_t k = Mix64(slots_[j * rec_words_]) & mask_;
+      std::size_t k = Mix64(slots_[j * rec_words_]) & mask;
       bool movable = (j > i) ? (k <= i || k > j) : (k <= i && k > j);
       if (movable) {
         CopyRecord(slots_ + i * rec_words_, slots_ + j * rec_words_);
@@ -244,9 +249,9 @@ class ChildIndex {
   /// mode). The stride is kept.
   void Clear() {
     if (slots_ != nullptr) {
-      Deallocate(slots_, (mask_ + 1) * rec_words_);
+      Deallocate(slots_, HeapCap() * rec_words_);
       slots_ = nullptr;
-      mask_ = 0;
+      cap_log2_ = 0;
     }
     std::memset(inline_, 0, sizeof(inline_));
     size_ = 0;
@@ -260,7 +265,7 @@ class ChildIndex {
     if (slots_ == nullptr && n <= kInlineWords / rec_words_) return;
     const std::size_t max_cap = MaxRecords();
     std::size_t cap = slots_ != nullptr
-                          ? mask_ + 1
+                          ? HeapCap()
                           : static_cast<std::size_t>(kInitialHeapRecords);
     // Smallest power-of-two cap the insert threshold (3/4 load) never
     // triggers growth for: n < cap - cap/4. All comparisons are
@@ -272,7 +277,7 @@ class ChildIndex {
     while (cap < max_cap && n >= cap - cap / 4) cap <<= 1;
     DYNCQ_DCHECK_MSG(n < cap - cap / 4,
                      "ChildIndex::Reserve request unrepresentable");
-    if (slots_ == nullptr || cap > mask_ + 1) GrowToHeap(cap);
+    if (slots_ == nullptr || cap > HeapCap()) GrowToHeap(cap);
   }
 
   /// Invokes fn(Value, payload) for every entry (stride-1 view; test and
@@ -292,7 +297,8 @@ class ChildIndex {
       }
       return;
     }
-    for (std::size_t i = 0; i <= mask_; ++i) {
+    const std::size_t cap = HeapCap();
+    for (std::size_t i = 0; i < cap; ++i) {
       const std::uint64_t* rec = slots_ + i * rec_words_;
       if (rec[0] != 0) fn(rec);
     }
@@ -330,7 +336,7 @@ class ChildIndex {
   /// still names the shared table and must not be destroyed.
   void UnshareHeap() {
     if (slots_ == nullptr) return;
-    const std::size_t words = (mask_ + 1) * rec_words_;
+    const std::size_t words = HeapCap() * rec_words_;
     std::uint64_t* fresh = Allocate(words);
     std::memcpy(fresh, slots_, words * sizeof(std::uint64_t));
     slots_ = fresh;
@@ -339,13 +345,16 @@ class ChildIndex {
   /// Heap-table record count (0 while in inline mode). Test/telemetry
   /// hook for the shrink-on-low-load policy.
   std::size_t heap_capacity() const {
-    return slots_ != nullptr ? mask_ + 1 : 0;
+    return slots_ != nullptr ? HeapCap() : 0;
   }
 
  private:
   static constexpr std::size_t kCacheLine = 64;
   static constexpr std::size_t kInlineWords = 8;        // 64-byte buffer
   static constexpr std::size_t kInitialHeapRecords = 8;
+
+  /// Heap-table record capacity (meaningful while slots_ != nullptr).
+  std::size_t HeapCap() const { return std::size_t{1} << cap_log2_; }
 
   void CopyRecord(std::uint64_t* dst, const std::uint64_t* src) const {
     std::memcpy(dst, src, rec_words_ * sizeof(std::uint64_t));
@@ -371,7 +380,7 @@ class ChildIndex {
   }
 
   const std::uint64_t* NextOccupied(const std::uint64_t* rec) const {
-    const std::uint64_t* end = slots_ + (mask_ + 1) * rec_words_;
+    const std::uint64_t* end = slots_ + HeapCap() * rec_words_;
     for (; rec < end; rec += rec_words_) {
       if (rec[0] != 0) return rec;
     }
@@ -399,7 +408,7 @@ class ChildIndex {
   /// forever. Trigger at 1/8 load, rebuild at ~1/4..1/2 load (growth
   /// re-triggers at 3/4, so churn cannot thrash between the two).
   void MaybeShrink() {
-    const std::size_t cap = mask_ + 1;
+    const std::size_t cap = HeapCap();
     if (cap <= kInitialHeapRecords || size_ * 8 >= cap) return;
     if (size_ <= kInlineWords / rec_words_) {
       ShrinkToInline();
@@ -415,7 +424,8 @@ class ChildIndex {
   void ShrinkToInline() {
     std::uint64_t tmp[kInlineWords];
     std::uint32_t n = 0;
-    for (std::size_t i = 0; i <= mask_; ++i) {
+    const std::size_t cap = HeapCap();
+    for (std::size_t i = 0; i < cap; ++i) {
       const std::uint64_t* rec = slots_ + i * rec_words_;
       if (rec[0] != 0) {
         std::memcpy(tmp + n * rec_words_, rec,
@@ -424,9 +434,9 @@ class ChildIndex {
       }
     }
     DYNCQ_DCHECK(n == size_);
-    Deallocate(slots_, (mask_ + 1) * rec_words_);
+    Deallocate(slots_, cap * rec_words_);
     slots_ = nullptr;
-    mask_ = 0;
+    cap_log2_ = 0;
     std::memset(inline_, 0, sizeof(inline_));
     std::memcpy(inline_, tmp, n * rec_words_ * sizeof(std::uint64_t));
   }
@@ -448,20 +458,21 @@ class ChildIndex {
         reinsert(inline_ + i * rec_words_);
       }
     } else {
-      for (std::size_t i = 0; i <= mask_; ++i) {
+      const std::size_t cap = HeapCap();
+      for (std::size_t i = 0; i < cap; ++i) {
         if (slots_[i * rec_words_] != 0) reinsert(slots_ + i * rec_words_);
       }
-      Deallocate(slots_, (mask_ + 1) * rec_words_);
+      Deallocate(slots_, cap * rec_words_);
     }
     slots_ = fresh;
-    mask_ = new_mask;
+    cap_log2_ = static_cast<std::uint8_t>(std::countr_zero(new_cap));
   }
 
   std::uint64_t inline_[kInlineWords] = {};  // used while slots_ == nullptr
   std::uint64_t* slots_ = nullptr;  // heap table (nullptr = inline mode)
-  std::size_t mask_ = 0;            // heap record capacity - 1
   std::uint32_t size_ = 0;
-  std::uint32_t rec_words_ = 2;     // 1 key word + stride payload words
+  std::uint8_t cap_log2_ = 0;       // log2 of the heap record capacity
+  std::uint8_t rec_words_ = 2;      // 1 key word + stride payload words
 };
 
 }  // namespace dyncq::core

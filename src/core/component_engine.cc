@@ -136,15 +136,22 @@ ComponentEngine::ComponentEngine(Query query, QTree tree)
         nm.free_child_slots.push_back(static_cast<int>(c));
       }
     }
-    // Cache lines the bottom-up pass reads: the header (weights, list
-    // links, counts) and each child slot's sums, deduplicated per
-    // 64-byte line.
-    std::vector<std::size_t> lines = {0};
+    // Item-relative 64-byte lines holding the fields phases A and B
+    // read: the header (dirty flag, links, weights), the tracked counts,
+    // and each child slot's running sums — the free sums only where
+    // RecomputeWeights reads them.
+    std::vector<std::size_t> lines = {offsetof(Item, dirty) / 64,
+                                      offsetof(Item, weight) / 64,
+                                      offsetof(Item, weight_free) / 64,
+                                      ItemCountsOffset() / 64};
     for (int u = 0; u < nm.num_children; ++u) {
-      lines.push_back((ItemSlotsOffset(tn.tracked_atoms.size()) +
-                       static_cast<std::size_t>(u) * sizeof(ChildSlot) +
-                       offsetof(ChildSlot, sum)) /
-                      64);
+      const std::size_t slot =
+          nm.slots_off + static_cast<std::size_t>(u) * sizeof(ChildSlot);
+      lines.push_back((slot + offsetof(ChildSlot, sum)) / 64);
+      if (nm.is_free &&
+          tree_.node(tn.children[static_cast<std::size_t>(u)]).is_free) {
+        lines.push_back((slot + offsetof(ChildSlot, sum_free)) / 64);
+      }
     }
     std::sort(lines.begin(), lines.end());
     lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
@@ -377,6 +384,24 @@ void ComponentEngine::CaptureSnapshot(ComponentSnapshot* out) const {
   out->dir_cap = 0;
 }
 
+// Forced inline: it runs once per descent level, and GCC otherwise keeps
+// it out of line (three call sites), adding a call to every level.
+[[gnu::always_inline]] inline Item* ComponentEngine::LocateChild(
+    ChildIndex& idx, Item* parent, int n, Value v, bool insert) {
+  if (!insert) {
+    Item* it = pool_.Resolve(ItemHandle::FromBits(idx.Find(v)));
+    DYNCQ_CHECK_MSG(it != nullptr, "batch walk hit a missing item");
+    return it;
+  }
+  std::uint64_t* slot = idx.FindOrInsertSlot(v);
+  if (*slot != 0) return pool_.Resolve(ItemHandle::FromBits(*slot));
+  Item* fresh = AllocItem(static_cast<std::uint32_t>(n));
+  fresh->value = v;
+  if (parent != nullptr) fresh->parent = parent->self;
+  *slot = fresh->self.bits();
+  return fresh;
+}
+
 Item* ComponentEngine::AllocItem(std::uint32_t n) {
   Item* it = pool_.Alloc(n);
   const NodeMeta& nm = node_meta_[n];
@@ -425,9 +450,12 @@ Item* ComponentEngine::SplitRun(Item* head) {
   const NodeMeta& um =
       node_meta_[static_cast<std::size_t>(hm.absorb_child_node)];
   char* rec = RunRecBase(head);
-  Item* it = AllocItem(static_cast<std::uint32_t>(hm.absorb_child_node));
-  it->parent = head->self;
-  it->value = *reinterpret_cast<Value*>(rec + kRunValueOff);
+  ChildSlot& vslot = *reinterpret_cast<ChildSlot*>(
+      reinterpret_cast<char*>(head) + hm.slots_off);
+  DYNCQ_DCHECK(vslot.index.empty());
+  Item* it = LocateChild(vslot.index, head, hm.absorb_child_node,
+                         *reinterpret_cast<Value*>(rec + kRunValueOff),
+                         /*insert=*/true);
   it->weight = reinterpret_cast<Weight*>(rec)[0];
   it->weight_free = reinterpret_cast<Weight*>(rec)[1];
   std::memcpy(ItemCounts(it), rec + um.run_counts_off,
@@ -441,11 +469,6 @@ Item* ComponentEngine::SplitRun(Item* head) {
               static_cast<std::size_t>(um.num_children) * sizeof(ChildSlot));
   std::memset(rec, 0, um.run_rec_size);
   head->run_len = 0;
-  ChildSlot& vslot = *reinterpret_cast<ChildSlot*>(
-      reinterpret_cast<char*>(head) + hm.slots_off);
-  std::uint64_t* slot = vslot.index.FindOrInsertSlot(it->value);
-  DYNCQ_DCHECK(*slot == 0);
-  *slot = it->self.bits();
   if (it->weight > 0) ListPushBack(pool_, vslot, it);
   // The slot's running sums are unchanged: the child's weight is the
   // same whether it lives as a record or an item.
@@ -566,8 +589,8 @@ bool ComponentEngine::MatchesAtom(const AtomMeta& am, const Tuple& t) const {
 // ---------------------------------------------------------------------------
 
 void ComponentEngine::MarkDirty(Item* it, std::size_t depth) {
-  if (it->batch_stamp == batch_epoch_) return;
-  it->batch_stamp = batch_epoch_;
+  if (it->dirty != 0) return;
+  it->dirty = 1;
   dirty_[depth].push_back(
       DirtyItem{it, it->node, it->weight, it->weight_free});
 }
@@ -590,7 +613,6 @@ void ComponentEngine::RouteRelGroups(const PendingDelta* deltas,
 }
 
 void ComponentEngine::ApplyBatch(const PendingDelta* deltas, std::size_t n) {
-  ++batch_epoch_;
   bool touched = false;
   if (n == 1) {
     // A batch of one (every single-tuple update): its relation's atoms
@@ -687,22 +709,7 @@ void ComponentEngine::BatchOneDelta(const AtomMeta& am,
                : reinterpret_cast<ChildSlot*>(
                      reinterpret_cast<char*>(parent) + am.level_slot_off[j])
                      ->index;
-    Item* it;
-    if (ad.insert) {
-      std::uint64_t* slot = idx.FindOrInsertSlot(v);
-      if (*slot == 0) {
-        Item* fresh = AllocItem(static_cast<std::uint32_t>(am.level_node[j]));
-        fresh->value = v;
-        if (parent != nullptr) fresh->parent = parent->self;
-        *slot = fresh->self.bits();
-        it = fresh;
-      } else {
-        it = pool_.Resolve(ItemHandle::FromBits(*slot));
-      }
-    } else {
-      it = pool_.Resolve(ItemHandle::FromBits(idx.Find(v)));
-      DYNCQ_CHECK_MSG(it != nullptr, "batch walk hit a missing item");
-    }
+    Item* it = LocateChild(idx, parent, am.level_node[j], v, ad.insert);
     // The lines phase B reads (weights, counts, child-slot sums) stream
     // in while the descent goes on.
     for (std::size_t off :
@@ -743,43 +750,20 @@ void ComponentEngine::BatchOneDelta(const AtomMeta& am,
     const Value v = t[static_cast<std::size_t>(am.read_pos[nd])];
     ChildSlot& vslot = *reinterpret_cast<ChildSlot*>(
         reinterpret_cast<char*>(head) + am.level_slot_off[nd]);
-    if (ad.insert) {
-      if (head->run_len != 0) {
-        if (*reinterpret_cast<Value*>(RunRecBase(head) + kRunValueOff) ==
-            v) {
-          rec = RunRecBase(head);
-        } else {
-          MarkDirty(SplitRun(head), nd);
-        }
-      } else if (vslot.index.empty()) {
-        CreateRun(head, v);
-        rec = RunRecBase(head);
-      }
-      if (rec == nullptr) {
-        std::uint64_t* slot = vslot.index.FindOrInsertSlot(v);
-        if (*slot == 0) {
-          Item* fresh = AllocItem(
-              static_cast<std::uint32_t>(am.level_node[nd]));
-          fresh->value = v;
-          fresh->parent = head->self;
-          *slot = fresh->self.bits();
-          tail_item = fresh;
-        } else {
-          tail_item = pool_.Resolve(ItemHandle::FromBits(*slot));
-        }
-      }
-    } else {
-      if (head->run_len != 0) {
-        DYNCQ_CHECK_MSG(
-            *reinterpret_cast<Value*>(RunRecBase(head) + kRunValueOff) == v,
-            "batch walk hit a missing item");
-        rec = RunRecBase(head);
-      } else {
-        tail_item =
-            pool_.Resolve(ItemHandle::FromBits(vslot.index.Find(v)));
-        DYNCQ_CHECK_MSG(tail_item != nullptr,
-                        "batch walk hit a missing item");
-      }
+    // A compressed head's index is empty, so a delete of a value other
+    // than the record's fails LocateChild's presence check.
+    if (head->run_len != 0 &&
+        *reinterpret_cast<Value*>(RunRecBase(head) + kRunValueOff) == v) {
+      rec = RunRecBase(head);
+    } else if (ad.insert && head->run_len != 0) {
+      MarkDirty(SplitRun(head), nd);
+    } else if (ad.insert && vslot.index.empty()) {
+      CreateRun(head, v);
+      rec = RunRecBase(head);
+    }
+    if (rec == nullptr) {
+      tail_item =
+          LocateChild(vslot.index, head, am.level_node[nd], v, ad.insert);
     }
     const NodeMeta& um =
         node_meta_[static_cast<std::size_t>(am.level_node[nd])];
@@ -924,6 +908,7 @@ void ComponentEngine::FlushDirty() {
       }
       const DirtyItem& d = level[i];
       Item* it = d.item;
+      it->dirty = 0;
       const NodeMeta& nm = node_meta_[it->node];
       // Re-merge: a head that lost children this batch was marked dirty
       // on the way down to them, so every child it has left is final by
@@ -1163,6 +1148,7 @@ std::size_t ComponentEngine::CheckItemRec(const Item* it) const {
     }
   }
   DYNCQ_CHECK_MSG(any_count, "item alive with all-zero atom counts");
+  DYNCQ_CHECK_MSG(it->dirty == 0, "item still flagged dirty between batches");
   DYNCQ_CHECK_MSG(nm.absorb_child_node >= 0 || it->run_len == 0,
                   "run record on an ineligible node");
 

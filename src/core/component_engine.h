@@ -213,10 +213,11 @@ class ComponentEngine {
   struct NodeMeta {
     std::vector<int> rep_slots;        // atom_counts slots of rep atoms
     std::vector<int> free_child_slots; // child slots with free child node
-    // Distinct cache-line offsets within an item block that the §6.4
-    // bottom-up pass touches (header weights, every child slot's running
-    // sums). The descent prefetches these as soon as the item pointer is
-    // known so the bottom-up pass never stalls on them.
+    // Distinct item-relative 64-byte lines holding the fields phases A
+    // and B read (header, tracked counts, child-slot running sums),
+    // derived from the field offsets. The descent prefetches these as
+    // soon as the item pointer is known so the bottom-up pass never
+    // stalls on them.
     std::vector<std::size_t> touch_offsets;
     // Deterministic block offsets: this node's ChildSlot array, and the
     // position of this node's slot within its PARENT's block.
@@ -302,6 +303,13 @@ class ComponentEngine {
   /// Pool allocation plus per-node slot configuration (strided-leaf
   /// tables get their record width set before first use).
   Item* AllocItem(std::uint32_t n);
+  /// The find-or-create step of a descent: the item of q-tree node `n`
+  /// with value `v` in `idx`, a child index of `parent` (the root index
+  /// when `parent` is null). An insert creates a missing item; a delete
+  /// must find it — set semantics makes an effective delete imply
+  /// pre-batch presence.
+  Item* LocateChild(ChildIndex& idx, Item* parent, int n, Value v,
+                    bool insert);
 
   // ---- Path-compressed run records (fanout-1 nodes) -------------------
   // A head item `it` (node with absorb_child_node >= 0) with run_len == 1
@@ -344,10 +352,13 @@ class ComponentEngine {
   void BatchOneDelta(const AtomMeta& am, const PendingDelta& ad,
                      SmallVector<Item*, 8>& chain,
                      SmallVector<Value, 8>& prev_key);
-  /// Phase B over dirty_, deepest level first. An eligible head whose
+  /// Phase B over dirty_, deepest level first; clears each flushed
+  /// item's dirty flag. An eligible head whose
   /// child index dropped to one entry re-absorbs the survivor here: its
   /// children were all flushed at deeper levels before it.
   void FlushDirty();
+  /// Phase A: records `it` in dirty_ once per batch (its dirty flag is
+  /// set iff it is there).
   void MarkDirty(Item* it, std::size_t depth);
   void RecomputeWeights(Item* it, const NodeMeta& nm) const;
   void DumpItem(std::ostream& os, const Item* it, int indent) const;
@@ -370,7 +381,6 @@ class ComponentEngine {
   ChildSlot root_slot_;
 
   // Batch pipeline state (scratch, reused across batches).
-  std::uint64_t batch_epoch_ = 0;
   std::vector<const PendingDelta*> batch_scratch_;  // one atom's deltas
   // Indexed by atoms_of_rel_'s dense order (AtomMeta::rel_group).
   std::vector<std::vector<std::uint32_t>> rel_groups_;  // rel group -> deltas

@@ -25,6 +25,7 @@
 #ifndef DYNCQ_CORE_ITEM_H_
 #define DYNCQ_CORE_ITEM_H_
 
+#include <cstddef>
 #include <cstdint>
 
 #include "core/child_index.h"
@@ -76,15 +77,16 @@ struct Item {
   // See ComponentEngine's run-record helpers for the split/merge rules.
   std::uint8_t run_len = 0;
 
+  // 1 iff the item sits in the engine's phase-B dirty list (set by
+  // MarkDirty, cleared as FlushDirty flushes the item), so 0 between
+  // batches.
+  std::uint8_t dirty = 0;
+
   std::uint32_t node = 0;  // q-tree node index
   Value value = 0;         // own constant a
 
   Weight weight = 0;       // C^i   (Lemma 6.3); fit iff weight > 0
   Weight weight_free = 0;  // C̃^i  (Lemma 6.4); only used for free nodes
-
-  // Batch epoch that last touched this item (see ApplyBatch); epoch 0 is
-  // never issued, so a fresh item is always "untouched".
-  std::uint64_t batch_stamp = 0;
 
   // The trailing arrays (atom counts, then child slots) are NOT pointed
   // to from the header: their offsets are deterministic per q-tree node
@@ -92,12 +94,23 @@ struct Item {
   // header compact and the update walk free of pointer loads.
 };
 
+// Release layout: the header is exactly 64 bytes, with the weights in
+// its last 32. Checked builds widen the four handles
+// (80 B). A field that grows the header, a ChildSlot or a ChildIndex
+// grows every item slot, so the sizes are pinned here.
+#if !DYNCQ_CHECKED_HANDLES
+static_assert(sizeof(Item) == 64);
+static_assert(offsetof(Item, weight_free) + sizeof(Weight) == 64);
+#endif
+static_assert(sizeof(ChildIndex) == 80);
+static_assert(sizeof(ChildSlot) == 128);
+
 /// Block layout: [Item header][atom counts][child slots]. The layout is
 /// deterministic per q-tree node, so the update walk computes trailing
 /// array addresses instead of loading the header pointers — one fewer
-/// dependent cache access per level. The counts sit right behind the
-/// header (usually the same cache line the weight fields occupy), so the
-/// §6.4 step-1 adjustment rides along with the weight recomputation.
+/// dependent cache access per level. The counts start right behind the
+/// header: at byte 64 in Release, i.e. on the line after the header's,
+/// and on weight_free's line in checked builds.
 constexpr std::size_t ItemCountsOffset() {
   return (sizeof(Item) + alignof(std::uint64_t) - 1) /
          alignof(std::uint64_t) * alignof(std::uint64_t);

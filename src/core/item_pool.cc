@@ -1,6 +1,6 @@
 #include "core/item_pool.h"
 
-#include <bit>
+#include <algorithm>
 #include <cstring>
 #include <new>
 
@@ -18,10 +18,10 @@ ItemPool::ItemPool(std::vector<std::size_t> num_children,
   DYNCQ_CHECK(extra_bytes.empty() ||
               extra_bytes.size() == num_atoms_.size());
   slot_size_.resize(num_children_.size());
-  size_class_.resize(num_children_.size());
+  reuse_key_.resize(num_children_.size());
   run_slots_.resize(num_children_.size());
   partial_head_.assign(num_children_.size(), 0);
-  std::uint32_t max_cls = 0;
+  std::vector<std::size_t> key_sizes;  // slot size per reuse_ index
   for (std::size_t n = 0; n < num_children_.size(); ++n) {
     std::size_t sz = ItemSlotsOffset(num_atoms_[n]) +
                      num_children_[n] * sizeof(ChildSlot);
@@ -32,15 +32,15 @@ ItemPool::ItemPool(std::vector<std::size_t> num_children,
       sz = AlignUp(sz, 16) + extra_bytes[n];
     }
     slot_size_[n] = AlignUp(sz, alignof(Item));
-    // Slab payloads are pow2-rounded so emptied blocks are reusable
-    // across nodes of the same class.
-    size_class_[n] = static_cast<std::uint32_t>(
-        std::bit_width(kItemsPerBlock * slot_size_[n] - 1));
-    if (size_class_[n] > max_cls) max_cls = size_class_[n];
+    // Emptied blocks are reusable across nodes of the same slot size.
+    const auto key = std::find(key_sizes.begin(), key_sizes.end(),
+                               slot_size_[n]);
+    reuse_key_[n] = static_cast<std::uint32_t>(key - key_sizes.begin());
+    if (key == key_sizes.end()) key_sizes.push_back(slot_size_[n]);
   }
   {
     util::MutexLock lock(&dir_mu_);
-    reuse_.resize(max_cls + 1);
+    reuse_.resize(key_sizes.size());
     GrowDirectory(0);
   }
 }
@@ -134,7 +134,7 @@ void ItemPool::CopyBlock(BlockRef& r) {
     r.shared = 0;
     return;
   }
-  const std::size_t bytes = SlabBytes(r.size_class);
+  const std::size_t bytes = SlabBytes(r.pitch);
   char* old_slab = r.items - kHdrBytes;
   DYNCQ_ALLOC_FAILPOINT();
   char* slab = static_cast<char*>(::operator new(bytes));
@@ -172,7 +172,7 @@ void ItemPool::CopyBlock(BlockRef& r) {
 void ItemPool::FreeRetiredSlab(char* slab) {
   auto* hdr = reinterpret_cast<BlockHdr*>(slab);
   ForEachSlabChildSlot(hdr, [](ChildSlot& cs) { cs.~ChildSlot(); });
-  const std::size_t bytes = SlabBytes(size_class_[hdr->node]);
+  const std::size_t bytes = SlabBytes(slot_size_[hdr->node]);
   ::operator delete(slab);
   util::MutexLock lock(&dir_mu_);
   slab_bytes_ -= bytes;
@@ -200,16 +200,17 @@ std::uint32_t ItemPool::AcquireBlock(std::uint32_t n) {
 
 std::uint32_t ItemPool::TakeBlock(std::uint32_t n) {
   util::MutexLock lock(&dir_mu_);
-  const std::uint32_t cls = size_class_[n];
+  std::vector<std::uint32_t>& reuse = reuse_[reuse_key_[n]];
   std::uint32_t bid = 0;
-  if (!reuse_[cls].empty()) {
-    bid = reuse_[cls].back();
-    reuse_[cls].pop_back();
-    // Repurpose within the size class: the pitch may change, the slot
-    // generations are preserved (monotonic for the slab's lifetime).
-    // An emptied block holds nothing a version reads, so it is private.
+  if (!reuse.empty()) {
+    bid = reuse.back();
+    reuse.pop_back();
+    // Repurpose for a node of the same slot size: the pitch stays, the
+    // slot generations are preserved (monotonic for the slab's
+    // lifetime). An emptied block holds nothing a version reads, so it
+    // is private.
     BlockRef& e = dir_.load(std::memory_order_relaxed)[bid];
-    e.pitch = static_cast<std::uint32_t>(slot_size_[n]);
+    DYNCQ_DCHECK(e.pitch == slot_size_[n]);
     e.shared = 0;
   } else {
     DYNCQ_ALLOC_FAILPOINT();
@@ -218,10 +219,10 @@ std::uint32_t ItemPool::TakeBlock(std::uint32_t n) {
                           : free_ids_.back();
     DYNCQ_CHECK_MSG(want < (1u << 26), "ItemPool block ids exhausted");
     GrowDirectory(want);
-    const std::size_t payload = std::size_t{1} << cls;
+    const std::size_t bytes = SlabBytes(slot_size_[n]);
     static_assert(alignof(Item) <= alignof(std::max_align_t),
                   "pool relies on default-aligned operator new");
-    char* slab = static_cast<char*>(::operator new(kHdrBytes + payload));
+    char* slab = static_cast<char*>(::operator new(bytes));
     // Commit point: nothing before this mutated pool state beyond the
     // directory capacity (idempotent), so an injected allocation
     // failure leaves the pool intact.
@@ -232,12 +233,11 @@ std::uint32_t ItemPool::TakeBlock(std::uint32_t n) {
       bid = next_bid_.load(std::memory_order_relaxed);
       next_bid_.store(bid + 1, std::memory_order_release);
     }
-    slab_bytes_ += kHdrBytes + payload;
+    slab_bytes_ += bytes;
     BlockHdr* hdr = new (slab) BlockHdr();
     hdr->id = bid;
     BlockRef& e = dir_.load(std::memory_order_relaxed)[bid];
     e.pitch = static_cast<std::uint32_t>(slot_size_[n]);
-    e.size_class = static_cast<std::uint16_t>(cls);
     e.shared = 0;
     e.items = slab + kHdrBytes;
   }
@@ -253,16 +253,16 @@ void ItemPool::ReleaseBlock(std::uint32_t bid) {
   // are never mutated in place, so the version saw it empty too): it
   // may go back to the reuse pool without a copy.
   dir[bid].shared = 0;
+  std::vector<std::uint32_t>& reuse = reuse_[reuse_key_[hdr->node]];
   hdr->node = kNoNode;
-  const std::uint32_t cls = dir[bid].size_class;
-  if (reuse_[cls].size() < kMaxReusePerClass) {
-    reuse_[cls].push_back(bid);
+  if (reuse.size() < kMaxReusePerSize) {
+    reuse.push_back(bid);
     return;
   }
-  // Past the per-class cap: the slab goes back to the OS and the id
+  // Past the per-size cap: the slab goes back to the OS and the id
   // becomes reusable. The directory entry is tombstoned — no live
   // handle names this block (it was empty), so nothing resolves here.
-  slab_bytes_ -= kHdrBytes + (std::size_t{1} << cls);
+  slab_bytes_ -= SlabBytes(dir[bid].pitch);
   ++released_blocks_;
   char* slab = dir[bid].items - kHdrBytes;
   dir[bid] = BlockRef();
@@ -513,7 +513,7 @@ ItemPool::Stats ItemPool::GetStats() const {
   s.dir_bytes = dir_cap_ * sizeof(BlockRef) +
                 frozen_dir_bytes_.load(std::memory_order_relaxed);
   s.cow_copied_blocks = cow_copied_;
-  for (const auto& cls : reuse_) s.reusable_blocks += cls.size();
+  for (const auto& ids : reuse_) s.reusable_blocks += ids.size();
   const BlockRef* dir = dir_.load(std::memory_order_relaxed);
   const std::uint32_t end = next_bid_.load(std::memory_order_relaxed);
   for (std::uint32_t bid = 1; bid < end; ++bid) {

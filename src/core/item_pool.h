@@ -11,9 +11,13 @@
 //    first bytes of each run's head slot), so allocation pops a slot and
 //    erase merges adjacent runs in O(1);
 //  * an occupancy count: when a block empties it is returned to a
-//    global reuse pool keyed by size class (and, past a small per-class
+//    global reuse pool keyed by slot size (and, past a small per-size
 //    cap, to the OS) — under delete-heavy churn the pool's footprint
 //    follows the live set instead of its high-water mark.
+//
+// A slab is exactly kHdrBytes + 64 slots, with no rounding: nodes of the
+// same slot size share emptied blocks through the reuse pool, and the
+// allocator recycles freed slabs across sizes.
 //
 // Items are named by ItemHandle (core/handle.h): block id + slot,
 // resolved with one load from a flat block directory plus shift+add —
@@ -75,9 +79,9 @@ class ItemPool {
   /// computed record offsets against what the pool actually allocates.
   std::size_t block_size(std::uint32_t n) const { return slot_size_[n]; }
 
-  /// Bytes of one slab (header + 64 slots, pow2-rounded) of node `n`.
+  /// Bytes of one slab of node `n`: the block header plus 64 slots.
   std::size_t slab_bytes_of(std::uint32_t n) const {
-    return SlabBytes(size_class_[n]);
+    return SlabBytes(slot_size_[n]);
   }
 
   /// Allocates a zero-initialized item for node `n`, with `self`
@@ -136,12 +140,12 @@ class ItemPool {
 
   /// Directory entry: everything Resolve needs, 16 bytes. `items` is
   /// nullptr while the block id sits in free_ids_ (slab OS-released).
-  /// `shared` marks a live entry whose slab a forked version may still
-  /// read (meaningful only while copy-on-write is on).
+  /// `pitch` also fixes the slab's size (SlabBytes). `shared` marks a
+  /// live entry whose slab a forked version may still read (meaningful
+  /// only while copy-on-write is on).
   struct BlockRef {
     char* items = nullptr;        ///< first slot (slab + kHdrBytes)
     std::uint32_t pitch = 0;      ///< slot size of the resident node
-    std::uint16_t size_class = 0; ///< log2 of the slab's payload bytes
     std::uint8_t shared = 0;
   };
 
@@ -269,6 +273,13 @@ class ItemPool {
     std::uint16_t gens[kItemsPerBlock] = {};
   };
 
+ public:
+  /// Bytes reserved for the header in front of a slab's slots; keeps
+  /// the slots Item-aligned. A slab is kHdrBytes + 64 x slot size.
+  static constexpr std::size_t kHdrBytes =
+      AlignUp(sizeof(BlockHdr), alignof(Item));
+
+ private:
   /// In-slot node of the per-block free list of erased runs, living in
   /// the first bytes of each run's head slot. Fields are slot indices
   /// (-1 = none).
@@ -277,13 +288,8 @@ class ItemPool {
     std::int32_t prev;
   };
 
-  /// Bytes reserved for the header in front of a slab's slots; keeps
-  /// the slots Item-aligned.
-  static constexpr std::size_t kHdrBytes =
-      AlignUp(sizeof(BlockHdr), alignof(Item));
-
-  /// Emptied blocks parked per size class before OS release.
-  static constexpr std::size_t kMaxReusePerClass = 8;
+  /// Emptied blocks parked per slot size before OS release.
+  static constexpr std::size_t kMaxReusePerSize = 8;
 
   /// A slab copied away from under a forked version, freed once the
   /// writer reclaims past `epoch`.
@@ -307,8 +313,8 @@ class ItemPool {
     if (cow_ && r.shared != 0) [[unlikely]] CopyBlock(r);
     return r;
   }
-  static std::size_t SlabBytes(std::uint32_t size_class) {
-    return kHdrBytes + (std::size_t{1} << size_class);
+  static std::size_t SlabBytes(std::size_t pitch) {
+    return kHdrBytes + kItemsPerBlock * pitch;
   }
   std::uint32_t next_bid_unlocked() const {
     return next_bid_.load(std::memory_order_acquire);
@@ -354,11 +360,11 @@ class ItemPool {
   std::uint32_t AcquireBlock(std::uint32_t n);
 
   /// AcquireBlock's directory part, under dir_mu_: a reusable block of
-  /// n's size class, or a fresh slab under a new or recycled id.
+  /// n's slot size, or a fresh slab under a new or recycled id.
   std::uint32_t TakeBlock(std::uint32_t n);
 
   /// Returns an emptied, unlinked block to the reuse pool (or the OS
-  /// past the per-class cap).
+  /// past the per-size cap).
   void ReleaseBlock(std::uint32_t bid);
 
   /// Ensures the directory can index `bid` (copy + publish; the
@@ -368,7 +374,7 @@ class ItemPool {
   std::vector<std::size_t> num_children_;
   std::vector<std::size_t> num_atoms_;
   std::vector<std::size_t> slot_size_;   // per node
-  std::vector<std::uint32_t> size_class_;  // per node: log2 slab payload
+  std::vector<std::uint32_t> reuse_key_;  // per node: reuse_ index
   struct RunSlots {
     std::size_t offset = 0;
     std::size_t count = 0;  // 0: the node's items never hold a run
@@ -398,7 +404,7 @@ class ItemPool {
   // Arrays held by forked versions; released from any thread.
   std::atomic<std::size_t> frozen_dir_bytes_{0};
   std::vector<std::uint32_t> free_ids_ DYNCQ_GUARDED_BY(dir_mu_);
-  /// Reuse pool: emptied block ids per size class.
+  /// Reuse pool: emptied block ids per distinct slot size.
   std::vector<std::vector<std::uint32_t>> reuse_ DYNCQ_GUARDED_BY(dir_mu_);
   std::size_t slab_bytes_ DYNCQ_GUARDED_BY(dir_mu_) = 0;
   std::size_t released_blocks_ DYNCQ_GUARDED_BY(dir_mu_) = 0;

@@ -3,6 +3,7 @@
 // backward-shift deletion).
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <set>
 #include <vector>
@@ -282,6 +283,73 @@ TEST(ChildIndexTest, ShrinkKeepsEntryCursorComplete) {
   std::set<Value> expected;
   for (Value v = 64; v <= 1024; v += 64) expected.insert(v);
   EXPECT_EQ(seen, expected);
+}
+
+TEST(ChildIndexTest, GrowPast2To17ShrinkToInlineAndRefill) {
+  // The heap capacity is stored as a one-byte log2 and the record width
+  // as one byte: a table past 2^17 records must keep every record, shrink
+  // all the way back to inline mode, and grow again — at stride 1 and at
+  // the stride k+2 of a two-atom strided leaf.
+  constexpr Value kMany = (Value{1} << 17) + 1000;
+  for (const std::size_t stride : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(stride);
+    ChildIndex idx;
+    idx.set_stride(stride);
+    auto fill = [&](Value from, Value to) {
+      for (Value v = from; v <= to; ++v) {
+        std::uint64_t* rec = idx.FindOrInsertRecord(v);
+        for (std::size_t w = 1; w <= stride; ++w) rec[w] = Marker(v) + w;
+      }
+    };
+    auto check = [&](Value from, Value to) {
+      for (Value v = from; v <= to; ++v) {
+        const std::uint64_t* rec = idx.FindRecord(v);
+        ASSERT_NE(rec, nullptr) << v;
+        for (std::size_t w = 1; w <= stride; ++w) {
+          ASSERT_EQ(rec[w], Marker(v) + w) << v;
+        }
+      }
+    };
+    fill(1, kMany);
+    ASSERT_EQ(idx.size(), kMany);
+    EXPECT_GT(idx.heap_capacity(), std::size_t{1} << 17);
+    check(1, kMany);
+
+    // Down to one record, which fits inline at both strides (the shrink
+    // trigger is 1/8 load, so a full inline buffer may stay on the heap).
+    for (Value v = kMany; v > 1; --v) ASSERT_TRUE(idx.Erase(v));
+    EXPECT_EQ(idx.size(), 1u);
+    EXPECT_EQ(idx.heap_capacity(), 0u) << "must collapse back inline";
+    check(1, 1);
+
+    fill(2, kMany);
+    ASSERT_EQ(idx.size(), kMany);
+    EXPECT_GT(idx.heap_capacity(), std::size_t{1} << 17);
+    check(1, kMany);
+  }
+}
+
+TEST(ChildIndexTest, UnshareHeapAfterGrowCopiesTheWholeTable) {
+  // A block copy duplicates an index byte for byte (ItemPool::CopyBlock);
+  // UnshareHeap then gives the copy its own table of the same capacity.
+  ChildIndex idx;
+  for (Value v = 1; v <= 5000; ++v) *idx.FindOrInsertSlot(v) = Marker(v);
+  const std::size_t cap = idx.heap_capacity();
+  ASSERT_GT(cap, 4096u);
+  alignas(ChildIndex) unsigned char bytes[sizeof(ChildIndex)];
+  std::memcpy(bytes, static_cast<const void*>(&idx), sizeof(ChildIndex));
+  auto* copy = reinterpret_cast<ChildIndex*>(bytes);
+  copy->UnshareHeap();
+  EXPECT_EQ(copy->heap_capacity(), cap);
+  EXPECT_EQ(copy->size(), idx.size());
+  ASSERT_TRUE(copy->Erase(17));
+  *copy->FindOrInsertSlot(9000) = Marker(9000);
+  EXPECT_EQ(idx.Find(17), Marker(17)) << "the original's table is untouched";
+  EXPECT_EQ(idx.Find(9000), 0u);
+  for (Value v = 1; v <= 5000; ++v) {
+    if (v != 17) ASSERT_EQ(copy->Find(v), Marker(v));
+  }
+  copy->~ChildIndex();
 }
 
 }  // namespace

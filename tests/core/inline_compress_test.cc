@@ -312,6 +312,30 @@ TEST(InlineCompressTest, BatchSplitThenOriginalDies) {
                  1);  // T(1,11,110) still tracks y=11: record stays
 }
 
+TEST(InlineCompressTest, SecondBatchRevisitsAHeadTwoDeltasMarkedDirty) {
+  // Batch 1 reaches head x=1 through five deltas, so MarkDirty finds it
+  // already flagged four times; FlushDirty must clear the flag, or the
+  // batch straight after would skip the head and leave its sums stale.
+  Query q = MustParse("Q(x, y, z) :- R(x), S(x, y), T(x, y, z).");
+  auto engine = MakeEngine(q);
+  baseline::DeltaIvmEngine ivm(q);
+  ApplyBatchStep(*engine, ivm,
+                 {UpdateCmd::Insert(0, {1}), UpdateCmd::Insert(1, {1, 10}),
+                  UpdateCmd::Insert(1, {1, 11}),
+                  UpdateCmd::Insert(2, {1, 10, 100}),
+                  UpdateCmd::Insert(2, {1, 11, 110})},
+                 3);  // x + two y items
+  ApplyBatchStep(*engine, ivm,
+                 {UpdateCmd::Delete(2, {1, 11, 110}),
+                  UpdateCmd::Delete(1, {1, 11}),
+                  UpdateCmd::Insert(2, {1, 10, 101})},
+                 1);  // y=11 dies, y=10 re-merged into x
+  ApplyBatchStep(*engine, ivm,
+                 {UpdateCmd::Insert(2, {1, 10, 102}),
+                  UpdateCmd::Delete(2, {1, 10, 100})},
+                 1);
+}
+
 TEST(InlineCompressTest, ChainWorkloadAllocationReduction) {
   // On a chain-shaped load with distinct paths, path compression plus
   // leaf inlining hold exactly one live ItemPool item per path: the

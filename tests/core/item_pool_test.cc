@@ -1,5 +1,6 @@
 // Hive ItemPool: generation-checked handles, skipfield churn, block
-// reclamation, and copy-on-write block forks (core/item_pool.h).
+// reclamation, exact-size slabs and copy-on-write block forks
+// (core/item_pool.h).
 //
 // The stale-handle tests assert the TYPED failure contract: a freed
 // handle must fail a DYNCQ_CHECK (std::logic_error), never read
@@ -13,6 +14,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "../test_util.h"
+#include "core/engine.h"
 #include "core/item_pool.h"
 #include "util/rng.h"
 
@@ -206,7 +209,7 @@ TEST(ItemPoolTest, DeleteHeavyChurnReturnsBlocksToReusePool) {
   // Near-baseline active set: at most the kept-hot partial head block.
   EXPECT_LE(drained.active_blocks, 1u);
   EXPECT_GT(drained.released_blocks, 0u);
-  EXPECT_LE(drained.reusable_blocks, 8u);  // per-class reuse cap
+  EXPECT_LE(drained.reusable_blocks, 8u);  // per-slot-size reuse cap
   EXPECT_LT(drained.slab_bytes, peak.slab_bytes / 10);
 
   // And reallocation drains the reuse pool before touching the OS (the
@@ -221,6 +224,94 @@ TEST(ItemPoolTest, DeleteHeavyChurnReturnsBlocksToReusePool) {
   EXPECT_EQ(refill.slab_bytes, drained.slab_bytes);
   for (const ItemHandle h : again) pool.Free(pool.Resolve(h));
 }
+
+TEST(ItemPoolTest, SlabsAreExactlyHeaderPlus64Slots) {
+  // No rounding: a slab of node n is the block header plus 64 slots of
+  // n's slot size, for every child count the engine produces.
+  for (std::size_t children = 0; children <= 3; ++children) {
+    SCOPED_TRACE(children);
+    ItemPool pool({children}, {1});
+    EXPECT_EQ(pool.block_size(0),
+              AlignUp(ItemSlotsOffset(1) + children * sizeof(ChildSlot),
+                      alignof(Item)));
+    EXPECT_EQ(pool.slab_bytes_of(0),
+              ItemPool::kHdrBytes +
+                  ItemPool::kItemsPerBlock * pool.block_size(0));
+    std::vector<ItemHandle> live;
+    for (int i = 0; i < 150; ++i) live.push_back(pool.Alloc(0)->self);
+    const ItemPool::Stats st = pool.GetStats();
+    EXPECT_EQ(st.active_blocks, 3u);
+    EXPECT_EQ(st.slab_bytes, st.active_blocks * pool.slab_bytes_of(0));
+    for (const ItemHandle h : live) pool.Free(pool.Resolve(h));
+  }
+}
+
+TEST(ItemPoolTest, EmptiedBlocksAreReusedOnlyAtTheSameSlotSize) {
+  // Nodes 0 and 1 share a slot size; node 2 has one more child slot.
+  ItemPool pool({1, 1, 2}, {1, 1, 1});
+  ASSERT_EQ(pool.block_size(0), pool.block_size(1));
+  ASSERT_NE(pool.block_size(0), pool.block_size(2));
+  // Three full blocks of node 0, then drained: the first two park in
+  // the reuse pool, the third stays resident as node 0's hot block.
+  std::vector<ItemHandle> live;
+  for (std::size_t i = 0; i < 3 * ItemPool::kItemsPerBlock; ++i) {
+    live.push_back(pool.Alloc(0)->self);
+  }
+  const std::uint32_t first = live.front().block();
+  const std::uint32_t second = live[ItemPool::kItemsPerBlock].block();
+  for (const ItemHandle h : live) pool.Free(pool.Resolve(h));
+  const ItemPool::Stats drained = pool.GetStats();
+  ASSERT_EQ(drained.reusable_blocks, 2u);
+
+  // A node of a different slot size never takes a parked block.
+  Item* other = pool.Alloc(2);
+  const std::uint32_t other_block = other->self.block();
+  EXPECT_NE(other_block, first);
+  EXPECT_NE(other_block, second);
+  EXPECT_EQ(pool.GetStats().reusable_blocks, 2u);
+  EXPECT_EQ(pool.GetStats().slab_bytes,
+            drained.slab_bytes + pool.slab_bytes_of(2));
+
+  // A node of the same slot size does, and allocates no new slab.
+  Item* same = pool.Alloc(1);
+  const std::uint32_t same_block = same->self.block();
+  EXPECT_TRUE(same_block == first || same_block == second);
+  EXPECT_EQ(pool.GetStats().reusable_blocks, 1u);
+  EXPECT_EQ(pool.GetStats().slab_bytes,
+            drained.slab_bytes + pool.slab_bytes_of(2));
+  pool.Free(other);
+  pool.Free(same);
+}
+
+#if !DYNCQ_CHECKED_HANDLES
+// The Release record sizes of the five most common item shapes of the
+// serving benchmark's registry ingest. Every item costs one slot, so a
+// field that grows a record fails here, long before it shows as memory.
+TEST(ItemPoolTest, ReleaseRecordSizesOfCommonShapes) {
+  struct Shape {
+    const char* what;
+    const char* query;
+    std::size_t slot_bytes;  // root node's slot
+  };
+  const Shape shapes[] = {
+      {"root leaf", "Q(x) :- R(x).", 80},
+      {"1 child", "Q(x, y) :- R(x, y).", 208},
+      {"2 children", "Q(x, y, z) :- R(x, y), S(x, z).", 336},
+      {"1 child with a run record", "Q(x, y, z) :- R(x, y, z).", 384},
+      {"3 children", "Q(x, y, z, w) :- R(x, y), S(x, z), T(x, w).", 480},
+  };
+  EXPECT_EQ(ItemPool::kHdrBytes, 224u);
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.what);
+    auto engine = core::Engine::Create(testing::MustParse(shape.query));
+    ASSERT_TRUE(engine.ok()) << engine.error();
+    ASSERT_EQ(engine.value()->NumComponents(), 1u);
+    const ItemPool& pool = engine.value()->component(0).pool();
+    EXPECT_EQ(pool.block_size(0), shape.slot_bytes);
+    EXPECT_EQ(pool.slab_bytes_of(0), 224 + 64 * shape.slot_bytes);
+  }
+}
+#endif
 
 TEST(ItemPoolTest, ForEachAllocatedSkipsErasedRuns) {
   ItemPool pool = MakePool();
