@@ -55,6 +55,15 @@ Rules (each with an explicit, reasoned allowlist):
                    an abort — a reachable CHECK is a fuzzer-findable
                    crash (and a DCHECK compiles away into UB-adjacent
                    behavior in release).
+  no-aligned-alloc src/ never requests over-aligned heap memory:
+                   std::align_val_t, aligned_alloc, posix_memalign and
+                   memalign are banned. glibc serves such a request by
+                   trimming a larger chunk and freeing the small
+                   remainders, which pile up in the fastbins; the next
+                   allocation of 1 KiB or more — a copy-on-write block
+                   copy inside a timed write under a pin — first pays to
+                   consolidate all of them. Plain operator new's 16-byte
+                   alignment is enough for every table in the engine.
   stored-item-ptr  src/core headers must not declare stored `Item*`
                    state — no pointer members, no containers of Item*.
                    Items live in the hive ItemPool and are named by
@@ -159,7 +168,7 @@ NAKED_NEW_ALLOWLIST = [
     (
         "src/core/child_index.h",
         re.compile(r"::operator\s+(?:new|delete)"),
-        "over-aligned heap table storage with explicit sized delete",
+        "heap table storage with explicit sized delete",
     ),
     (
         "src/core/engine.cc",
@@ -333,6 +342,25 @@ def check_header_guard(path: str, text: str):
         )
 
 
+_ALIGNED_ALLOC = re.compile(
+    r"\balign_val_t\b|\baligned_alloc\s*\(|\bposix_memalign\s*\("
+    r"|\bmemalign\s*\("
+)
+
+
+def check_no_aligned_alloc(path: str, text: str):
+    if not path.startswith("src/"):
+        return
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if _ALIGNED_ALLOC.search(line):
+            yield (
+                lineno,
+                "over-aligned heap allocation; memalign's freed remainders "
+                "fill glibc's fastbins and the next >= 1 KiB allocation "
+                "pays to consolidate them — use plain operator new",
+            )
+
+
 # Stored Item* state: a pointer member declaration (`Item* name;` /
 # `Item* name = ...;` — a function name would be followed by `(`) or an
 # Item* template argument in any position (vector<Item*>,
@@ -472,6 +500,7 @@ RULES = [
     Rule("no-ambient-rng", check_no_ambient_rng),
     Rule("include-hygiene", check_include_hygiene, raw=True),
     Rule("header-guard", check_header_guard),
+    Rule("no-aligned-alloc", check_no_aligned_alloc),
     Rule("stored-item-ptr", check_stored_item_ptr),
     Rule("nodiscard-result", check_nodiscard_result),
     Rule("parse-path-check", check_parse_path),

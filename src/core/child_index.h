@@ -28,9 +28,9 @@
 // a few hubs have thousands):
 //  * inline mode: up to 8/(1+stride) records stored directly in the
 //    object, scanned linearly — no heap allocation, no hashing;
-//  * heap mode: a cache-line-aligned power-of-two linear-probe table with
-//    backward-shift deletion (no tombstones, so probe chains never rot
-//    under churn).
+//  * heap mode: a power-of-two linear-probe table from plain sized
+//    operator new, with backward-shift deletion (no tombstones, so probe
+//    chains never rot under churn).
 //
 // Value 0 is the engine-wide reserved sentinel (util/types.h) and doubles
 // as the empty-record marker, so the table needs no flags array and a
@@ -349,7 +349,6 @@ class ChildIndex {
   }
 
  private:
-  static constexpr std::size_t kCacheLine = 64;
   static constexpr std::size_t kInlineWords = 8;        // 64-byte buffer
   static constexpr std::size_t kInitialHeapRecords = 8;
 
@@ -387,18 +386,23 @@ class ChildIndex {
     return nullptr;
   }
 
+  /// Plain sized operator new, deliberately not an over-aligned one:
+  /// the allocator's 16-byte alignment already keeps a stride-1 record
+  /// inside one cache line, and wider records straddle lines at any base
+  /// alignment. An aligned request would make glibc's memalign trim and
+  /// free a small remainder per table, and those fragments pile up in
+  /// the fastbins until a later large allocation (a copy-on-write block
+  /// copy, inside a timed write) pays to consolidate them all.
   static std::uint64_t* Allocate(std::size_t words) {
     DYNCQ_ALLOC_FAILPOINT();
-    void* mem = ::operator new(words * sizeof(std::uint64_t),
-                               std::align_val_t{kCacheLine});
+    void* mem = ::operator new(words * sizeof(std::uint64_t));
     std::uint64_t* slots = static_cast<std::uint64_t*>(mem);
     std::memset(slots, 0, words * sizeof(std::uint64_t));
     return slots;
   }
 
   static void Deallocate(std::uint64_t* slots, std::size_t words) {
-    ::operator delete(slots, words * sizeof(std::uint64_t),
-                      std::align_val_t{kCacheLine});
+    ::operator delete(slots, words * sizeof(std::uint64_t));
   }
 
   /// Adaptive shrink-on-low-load: heap tables grown by a hub's past

@@ -2,13 +2,15 @@
 #ifndef DYNCQ_STORAGE_UPDATE_H_
 #define DYNCQ_STORAGE_UPDATE_H_
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "storage/tuple.h"
-#include "util/open_hash_map.h"
+#include "util/check.h"
+#include "util/hash.h"
 #include "util/types.h"
 
 namespace dyncq {
@@ -44,6 +46,12 @@ using UpdateStream = std::vector<UpdateCmd>;
 /// absent even when t was resident before the batch); the unordered
 /// intention semantics that full annihilation implies is UpdateBatch's
 /// contract (core/session.h), not ApplyBatch's.
+///
+/// The key table holds command indices, not keys: a slot names the last
+/// command seen on its key, and a probe compares against that command's
+/// relation and tuple in place. Nothing is copied per command, and the
+/// table and the survival flags are reused across calls, so a folder
+/// that has seen a batch of this size allocates nothing.
 class BatchFolder {
  public:
   /// Computes the per-key final commands of `cmds`. Returns true and
@@ -66,26 +74,33 @@ class BatchFolder {
     }
     if (!has_delete) return false;
 
-    last_.Clear();
-    last_.Reserve(cmds.size());
+    DYNCQ_CHECK(cmds.size() < kEmpty);
+    // Linear probing at load <= 1/2.
+    const std::size_t mask = std::bit_ceil(cmds.size() * 2) - 1;
+    table_.assign(mask + 1, kEmpty);
     keep_.assign(cmds.size(), 1);
     std::size_t dropped = 0;
     for (std::size_t i = 0; i < cmds.size(); ++i) {
-      // Key = tuple ++ relation id: keys compare equal iff arity, tuple,
-      // and relation all match (same scheme as UpdateBatch staging).
-      Tuple key = cmds[i].tuple;
-      key.push_back(static_cast<Value>(cmds[i].rel));
-      auto [prior, inserted] =
-          last_.Insert(key, static_cast<std::uint32_t>(i));
-      if (!inserted) {
-        keep_[*prior] = 0;
-        *prior = static_cast<std::uint32_t>(i);
-        ++dropped;
+      const UpdateCmd& cmd = cmds[i];
+      std::size_t h = HashCombine(HashWords(cmd.tuple.data(),
+                                            cmd.tuple.size()),
+                                  cmd.rel) &
+                      mask;
+      while (true) {
+        const std::uint32_t j = table_[h];
+        if (j == kEmpty) break;
+        if (cmds[j].rel == cmd.rel && cmds[j].tuple == cmd.tuple) {
+          keep_[j] = 0;
+          ++dropped;
+          break;
+        }
+        h = (h + 1) & mask;
       }
+      table_[h] = static_cast<std::uint32_t>(i);
     }
     if (dropped == 0) return false;
     kept->clear();
-    kept->reserve(cmds.size() - dropped);
+    kept->reserve(cmds.size());  // capacity depends only on the size
     for (std::size_t i = 0; i < cmds.size(); ++i) {
       if (keep_[i]) kept->push_back(static_cast<std::uint32_t>(i));
     }
@@ -93,7 +108,11 @@ class BatchFolder {
   }
 
  private:
-  OpenHashMap<Tuple, std::uint32_t, TupleHash> last_;  // key -> last index
+  static constexpr std::uint32_t kEmpty = 0xffffffffu;
+
+  // Open-addressing key table: the index of the last command per
+  // (relation, tuple) key, or kEmpty (scratch).
+  std::vector<std::uint32_t> table_;
   std::vector<char> keep_;  // per-command survival flags (scratch)
 };
 

@@ -191,6 +191,110 @@ TEST(OrderedBatchFoldTest, LaterCommandOnTupleSupersedesEarlierOnes) {
   EXPECT_FALSE(engine.db().relation(0).Contains({2}));
 }
 
+// Applies `batch` once as a folded ApplyBatch and once command by
+// command, on top of the same `resident` state, and expects the same
+// relations and result.
+void ExpectFoldMatchesReplay(const Query& q, const UpdateStream& resident,
+                             const UpdateStream& batch) {
+  SCOPED_TRACE(q.ToString());
+  auto folded = core::Engine::Create(q);
+  auto replayed = core::Engine::Create(q);
+  ASSERT_TRUE(folded.ok() && replayed.ok());
+  core::Engine& a = *folded.value();
+  core::Engine& b = *replayed.value();
+  a.ApplyAll(resident);
+  b.ApplyAll(resident);
+  a.ApplyBatch(std::span<const UpdateCmd>(batch));
+  for (const UpdateCmd& cmd : batch) b.Apply(cmd);
+  for (RelId r = 0; r < q.schema().NumRelations(); ++r) {
+    std::vector<Tuple> ta, tb;
+    for (const Tuple& t : a.db().relation(r)) ta.push_back(t);
+    for (const Tuple& t : b.db().relation(r)) tb.push_back(t);
+    EXPECT_TRUE(SameTupleSet(ta, tb)) << "relation " << r;
+  }
+  EXPECT_EQ(a.Count(), b.Count());
+  EXPECT_TRUE(SameTupleSet(MaterializeResult(a), MaterializeResult(b)));
+  a.component(0).CheckInvariants();
+}
+
+TEST(OrderedBatchFoldTest, ArityFourAndArityOneTuples) {
+  // Arity 4 fills a tuple's inline storage; arity 1 is the shortest key.
+  // Keys repeat across inserts and deletes in both relations.
+  Query q = MustParse("Q(a, b, c, d) :- R(a, b, c, d), S(a).");
+  const RelId r = q.schema().FindRelation("R");
+  const RelId s = q.schema().FindRelation("S");
+  UpdateStream resident{UpdateCmd::Insert(r, {1, 2, 3, 4}),
+                        UpdateCmd::Insert(s, {1}),
+                        UpdateCmd::Insert(s, {2})};
+  Rng rng(4);
+  UpdateStream batch;
+  for (int i = 0; i < 400; ++i) {
+    const bool del = rng.Chance(0.4);
+    if (rng.Chance(0.5)) {
+      Tuple t{1 + rng.Below(2), 2 + rng.Below(2), 3, 4 + rng.Below(2)};
+      batch.push_back(del ? UpdateCmd::Delete(r, t) : UpdateCmd::Insert(r, t));
+    } else {
+      Tuple t{1 + rng.Below(3)};
+      batch.push_back(del ? UpdateCmd::Delete(s, t) : UpdateCmd::Insert(s, t));
+    }
+  }
+  ExpectFoldMatchesReplay(q, resident, batch);
+}
+
+TEST(OrderedBatchFoldTest, SameTupleInTwoRelationsDoesNotFold) {
+  // R(5, 6) and S(5, 6) have equal tuples but are different keys: the
+  // delete on S must not supersede the insert on R, nor the reverse.
+  Query q = MustParse("Q(x, y) :- R(x, y), S(x, y).");
+  const RelId r = q.schema().FindRelation("R");
+  const RelId s = q.schema().FindRelation("S");
+  auto e = core::Engine::Create(q);
+  ASSERT_TRUE(e.ok());
+  core::Engine& engine = *e.value();
+  engine.Apply(UpdateCmd::Insert(s, {5, 6}));
+  engine.Apply(UpdateCmd::Insert(r, {7, 8}));
+  UpdateStream batch{UpdateCmd::Insert(r, {5, 6}), UpdateCmd::Delete(s, {5, 6}),
+                     UpdateCmd::Insert(s, {7, 8}), UpdateCmd::Delete(r, {7, 8})};
+  EXPECT_EQ(engine.ApplyBatch(std::span<const UpdateCmd>(batch)), 4u);
+  EXPECT_TRUE(engine.db().relation(r).Contains({5, 6}));
+  EXPECT_FALSE(engine.db().relation(s).Contains({5, 6}));
+  EXPECT_TRUE(engine.db().relation(s).Contains({7, 8}));
+  EXPECT_FALSE(engine.db().relation(r).Contains({7, 8}));
+  EXPECT_EQ(engine.Count(), Weight{0});
+  ExpectFoldMatchesReplay(q, {UpdateCmd::Insert(s, {5, 6}),
+                              UpdateCmd::Insert(r, {7, 8})},
+                          batch);
+}
+
+TEST(OrderedBatchFoldTest, BatchLargerThan65536Commands) {
+  // 70000 commands: every delete sits 35000 places after its insert, so
+  // the pairs that fold span command indices past 65535. Every tenth
+  // tuple is resident before the batch and must still end absent.
+  Query q = MustParse("Q(x) :- R(x).");
+  constexpr Value kPairs = 35000;
+  UpdateStream resident, batch;
+  for (Value v = 1; v <= kPairs; v += 10) {
+    resident.push_back(UpdateCmd::Insert(0, {v}));
+  }
+  for (Value v = 1; v <= kPairs; ++v) {
+    batch.push_back(UpdateCmd::Insert(0, {v}));
+  }
+  for (Value v = 1; v <= kPairs; ++v) {
+    batch.push_back(UpdateCmd::Delete(0, {v}));
+  }
+  batch.push_back(UpdateCmd::Insert(0, {kPairs}));
+  ASSERT_GT(batch.size(), 65536u);
+  ExpectFoldMatchesReplay(q, resident, batch);
+
+  auto e = core::Engine::Create(q);
+  ASSERT_TRUE(e.ok());
+  core::Engine& engine = *e.value();
+  engine.ApplyAll(resident);
+  engine.ApplyBatch(std::span<const UpdateCmd>(batch));
+  EXPECT_EQ(engine.Count(), Weight{1});
+  EXPECT_TRUE(engine.db().relation(0).Contains({kPairs}));
+  EXPECT_FALSE(engine.db().relation(0).Contains({1}));
+}
+
 TEST(BatchDifferentialTest, LargeSingleBatchOnEmptyEngine) {
   // Whole-stream ingestion as one batch (the bulk-load path).
   Query q = MustParse("Q(x, y, z) :- R(x, y), S(y, z).");

@@ -1,6 +1,6 @@
 // ChildIndex: the parent-scoped single-Value child table of the dynamic
-// engine (inline small-table -> cache-line-aligned linear probing with
-// backward-shift deletion).
+// engine (inline small-table -> heap linear probing with backward-shift
+// deletion).
 #include <gtest/gtest.h>
 
 #include <cstring>

@@ -299,6 +299,48 @@ class HeaderGuardTest(unittest.TestCase):
         self.assertEqual(set(), rules_hit("src/core/foo.cc", "int x;"))
 
 
+class NoAlignedAllocTest(unittest.TestCase):
+    def test_fires_on_aligned_requests(self):
+        for snippet in (
+            "void* m = ::operator new(n, std::align_val_t{64});",
+            "::operator delete(p, n, std::align_val_t{kCacheLine});",
+            "void* m = std::aligned_alloc(64, n);",
+            "void* m = aligned_alloc(64, n);",
+            "if (posix_memalign(&m, 64, n) != 0) return;",
+            "void* m = memalign(64, n);",
+        ):
+            for path in ("src/core/foo.h", "src/util/foo.cc"):
+                self.assertIn(
+                    "no-aligned-alloc", rules_hit(path, snippet), snippet
+                )
+
+    def test_plain_allocation_passes(self):
+        for snippet in (
+            "void* m = ::operator new(words * sizeof(std::uint64_t));",
+            "alignas(T) unsigned char inline_buf_[N * sizeof(T)];",
+            "std::size_t aligned_size = AlignUp(n);",
+        ):
+            self.assertNotIn(
+                "no-aligned-alloc",
+                rules_hit("src/core/foo.cc", snippet),
+                snippet,
+            )
+
+    def test_commented_mention_passes(self):
+        self.assertNotIn(
+            "no-aligned-alloc",
+            rules_hit("src/core/foo.h", "// no std::align_val_t here"),
+        )
+
+    def test_outside_src_not_scanned(self):
+        self.assertNotIn(
+            "no-aligned-alloc",
+            rules_hit(
+                "tests/core/foo.cc", "void* m = std::aligned_alloc(64, n);"
+            ),
+        )
+
+
 class StoredItemPtrTest(unittest.TestCase):
     def test_fires_on_pointer_member(self):
         for snippet in (
