@@ -1,6 +1,6 @@
 // Quickstart: open a QuerySession on a conjunctive query, see which
 // maintenance strategy the dichotomy picked and what it guarantees, then
-// stream updates (single and staged batches) and read results three ways
+// stream updates (single and batched) and read results three ways
 // (answer / count / cursor).
 //
 //   $ ./quickstart
@@ -66,22 +66,23 @@ int main() {
               << "\n";
   }
 
-  // 5. Staged batch with the net-delta pre-pass: the insert/delete pair
-  //    on Items(100, 7) annihilates inside the builder — neither command
-  //    ever reaches the engine or probes a relation, and the resident
-  //    tuple (100, 7) stays put. Only the net delta commits: delete
-  //    Items(100, 8), insert Items(200, 9).
-  UpdateBatch batch = session.NewBatch();
-  batch.Insert(items, {100, 7});   // annihilated by the next line
-  batch.Delete(items, {100, 7});
-  batch.Delete(items, {100, 8});
-  batch.Insert(items, {200, 9});
-  std::cout << "\nbatch: " << batch.pending() << " net commands, "
-            << batch.annihilated() << " inverse pair annihilated\n";
-  batch.Commit();
+  // 5. A staged batch is an UpdateStream handed to ApplyBatch. Its
+  //    result is the ordered replay's: with Items(100, 7) resident,
+  //    "insert; delete" removes it, because the last command on a tuple
+  //    decides its presence. The batch fold drops the superseded insert
+  //    before it probes a relation, so 3 of the 4 commands take effect:
+  //    order 100 loses both its items, order 200 gains item 9.
+  UpdateStream batch;
+  batch.push_back(UpdateCmd::Insert(items, {100, 7}));  // superseded
+  batch.push_back(UpdateCmd::Delete(items, {100, 7}));
+  batch.push_back(UpdateCmd::Delete(items, {100, 8}));
+  batch.push_back(UpdateCmd::Insert(items, {200, 9}));
+  const std::size_t effective = session.ApplyBatch(batch);
+  std::cout << "\nbatch: " << batch.size() << " commands, " << effective
+            << " effective\n";
 
   std::cout << "after the batch: count = " << U128ToString(session.Count())
-            << " (order 100 keeps item 7, order 200 gained an item)\n";
+            << " (order 100 lost both items, order 200 gained one)\n";
 
   // 6. The old cursor is stale now — typed status, no abort.
   if (cur->Next(&t) == CursorStatus::kInvalidated) {

@@ -361,6 +361,13 @@ class ComponentEngine {
   /// set iff it is there).
   void MarkDirty(Item* it, std::size_t depth);
   void RecomputeWeights(Item* it, const NodeMeta& nm) const;
+  /// All-positive test over a strided leaf record's k counts (fit).
+  static bool LeafRecFit(const std::uint64_t* pay, int k) {
+    for (int i = 0; i < k; ++i) {
+      if (pay[i] == 0) return false;
+    }
+    return true;
+  }
   void DumpItem(std::ostream& os, const Item* it, int indent) const;
   void DumpLeafSlot(std::ostream& os, const ChildSlot& slot, int child_node,
                     int indent) const;

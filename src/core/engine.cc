@@ -166,11 +166,7 @@ void Engine::Preload(const Database& initial) {
       stream.push_back(UpdateCmd::Insert(r, t));
     }
   }
-  // Root items are keyed by one value of the active domain, so |adom|
-  // bounds every component's root fanout.
-  for (const auto& c : components_) {
-    c->ReserveRoot(initial.ActiveDomainSize());
-  }
+  ReserveRoots(initial);
   ApplyBatch(stream);
 }
 
@@ -183,24 +179,13 @@ void Engine::SyncFromStorage() {
   std::vector<std::pair<RelId, Tuple>> base;
   // Only this query's relations — the shared database may hold many
   // foreign ones (the query's schema is a prefix of the database's, so
-  // every subscribed RelId is valid there). Each component's root
-  // fanout is bounded by the tuples of its own relations (every atom
-  // holds the root variable), so that count sizes its root index:
-  // O(engine), where Database::ActiveDomainSize would recount the whole
-  // shared database after any write.
-  std::vector<std::size_t> comp_tuples(components_.size(), 0);
+  // every subscribed RelId is valid there).
   for (const auto& [r, comps] : comps_of_rel_) {
-    const std::size_t before = base.size();
     for (const Tuple& t : db_->relation(r)) base.emplace_back(r, t);
-    for (int c : comps) {
-      comp_tuples[static_cast<std::size_t>(c)] += base.size() - before;
-    }
   }
   if (base.empty()) return;
   PrepareWrite();  // a version pinned on the empty structure forks here
-  for (std::size_t c = 0; c < components_.size(); ++c) {
-    components_[c]->ReserveRoot(comp_tuples[c]);
-  }
+  ReserveRoots(*db_);
   pending_.clear();
   pending_.reserve(base.size());
   for (const auto& [r, t] : base) {
@@ -211,6 +196,18 @@ void Engine::SyncFromStorage() {
     c->ApplyBatch(pending_.data(), pending_.size());
   }
   pending_.clear();  // drop dangling borrows of `base`
+}
+
+void Engine::ReserveRoots(const Database& db) {
+  std::vector<std::size_t> comp_tuples(components_.size(), 0);
+  for (const auto& [r, comps] : comps_of_rel_) {
+    for (int c : comps) {
+      comp_tuples[static_cast<std::size_t>(c)] += db.relation(r).size();
+    }
+  }
+  for (std::size_t c = 0; c < components_.size(); ++c) {
+    components_[c]->ReserveRoot(comp_tuples[c]);
+  }
 }
 
 void Engine::PrepareWrite() {

@@ -190,6 +190,13 @@ class Engine final : public DynamicQueryEngine {
   class CoreVersion;
   friend class CoreVersion;
 
+  /// Bulk-load sizing shared by Preload and SyncFromStorage: reserves
+  /// each component's root index for the tuples of its relations in
+  /// `db`. Every atom holds the component's root variable, so that count
+  /// bounds the root fanout; it costs O(query relations), where counting
+  /// |adom| would scan the whole (possibly shared) database.
+  void ReserveRoots(const Database& db);
+
   /// The write prologue of Apply / ApplyBatch / PrepareSharedWrite /
   /// SyncFromStorage: ForkIfPinned, then the once-per-write "is any
   /// version alive" read that switches the pools' copy-on-write, then

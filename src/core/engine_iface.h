@@ -160,8 +160,6 @@ class DynamicQueryEngine {
   /// (core::Engine) override this to additionally group deltas per
   /// relation/atom and share root-path descents; the default is the
   /// per-tuple fallback used by the recompute / delta-IVM baselines.
-  /// For unordered-intention semantics (inverse pairs annihilating
-  /// entirely) stage through UpdateBatch (core/session.h) instead.
   virtual std::size_t ApplyBatch(std::span<const UpdateCmd> cmds) {
     BatchFolder folder;
     std::vector<std::uint32_t> kept;

@@ -6,57 +6,6 @@
 
 namespace dyncq {
 
-// ---------------------------------------------------------------------------
-// UpdateBatch
-// ---------------------------------------------------------------------------
-
-void UpdateBatch::Stage(UpdateCmd cmd) {
-  const Tuple key = KeyOf(cmd);
-  std::uint32_t* idx = index_.Find(key);
-  if (idx == nullptr) {
-    index_.Insert(key, static_cast<std::uint32_t>(staged_.size()));
-    staged_.push_back(Staged{std::move(cmd), true});
-    ++live_;
-    return;
-  }
-  Staged& prior = staged_[*idx];
-  DYNCQ_DCHECK(prior.live);
-  if (prior.cmd.kind == cmd.kind) {
-    ++deduped_;  // same intention staged twice
-    return;
-  }
-  // Inverse pair: annihilate both inside the staging table. A later
-  // re-stage of the same tuple starts fresh (the map entry is gone).
-  prior.live = false;
-  --live_;
-  ++annihilated_;
-  index_.Erase(key);
-}
-
-std::size_t UpdateBatch::Commit() {
-  UpdateStream net;
-  net.reserve(live_);
-  for (Staged& s : staged_) {
-    if (s.live) net.push_back(std::move(s.cmd));
-  }
-  std::size_t effective = 0;
-  if (!net.empty()) {
-    effective = engine_->ApplyBatch(std::span<const UpdateCmd>(net));
-  }
-  Abort();
-  return effective;
-}
-
-void UpdateBatch::Abort() {
-  staged_.clear();
-  index_.Clear();
-  live_ = annihilated_ = deduped_ = 0;
-}
-
-// ---------------------------------------------------------------------------
-// QuerySession
-// ---------------------------------------------------------------------------
-
 QuerySession::QuerySession(const Query& q) {
   core::EngineChoice choice = core::CreateMaintainableEngine(q);
   engine_ = std::move(choice.engine);

@@ -7,9 +7,10 @@
 // status-returning Cursors (engine_iface.h) keyed on the session's
 // Revision; misuse (k == 0 partitions, a result that changed mid-drain)
 // surfaces as util::Result errors / CursorStatus::kInvalidated instead of
-// CHECK-aborts. Updates can be staged through an UpdateBatch, whose
-// in-batch net-delta pre-pass annihilates inverse insert/delete pairs
-// before any Relation probe runs.
+// CHECK-aborts. A caller that stages updates collects them in an
+// UpdateStream and hands it to ApplyBatch: the batch has the ordered
+// replay's result, and commands superseded within it cost no relation
+// probe (BatchFolder, storage/update.h).
 #ifndef DYNCQ_CORE_SESSION_H_
 #define DYNCQ_CORE_SESSION_H_
 
@@ -22,89 +23,14 @@
 #include "core/engine_iface.h"
 #include "cq/query.h"
 #include "storage/update.h"
-#include "util/hash.h"
-#include "util/open_hash_map.h"
 #include "util/result.h"
 
 namespace dyncq {
 
-/// Staged update builder with an in-batch net-delta pre-pass.
-///
-/// A batch is an *unordered set of intended changes*, not an ordered
-/// replay: staging an insert and a delete of the same tuple annihilates
-/// both (and staging the same change twice dedups to one), entirely
-/// inside the builder's staging table — zero Relation probes are spent on
-/// cancelled work. This is the contract that makes high-churn streams
-/// (where ~40% of batch cost is the per-command relation probe) cheap:
-/// only the net delta ever reaches the engine's ApplyBatch pipeline.
-///
-/// Note the semantic difference from sequential replay: under set
-/// semantics, replaying "insert t; delete t" onto a database already
-/// containing t would delete t, whereas the net-delta batch leaves t
-/// untouched (the two staged intentions cancel). Callers who need
-/// replay semantics use QuerySession::ApplyBatch directly.
-class UpdateBatch {
- public:
-  UpdateBatch(UpdateBatch&&) = default;
-  UpdateBatch& operator=(UpdateBatch&&) = default;
-
-  /// Stages an insert / delete. Returns *this for chaining.
-  UpdateBatch& Insert(RelId rel, Tuple t) {
-    Stage(UpdateCmd::Insert(rel, std::move(t)));
-    return *this;
-  }
-  UpdateBatch& Delete(RelId rel, Tuple t) {
-    Stage(UpdateCmd::Delete(rel, std::move(t)));
-    return *this;
-  }
-  UpdateBatch& Add(UpdateCmd cmd) {
-    Stage(std::move(cmd));
-    return *this;
-  }
-
-  /// Net staged commands that would reach the engine on Commit().
-  std::size_t pending() const { return live_; }
-  /// Inverse insert/delete pairs cancelled by the pre-pass so far.
-  std::size_t annihilated() const { return annihilated_; }
-  /// Same-direction duplicates absorbed by the staging table.
-  std::size_t deduped() const { return deduped_; }
-
-  /// Hands the net delta to the engine's batch pipeline and clears the
-  /// builder for reuse. Returns the number of effective (database-
-  /// changing) commands.
-  std::size_t Commit();
-
-  /// Drops everything staged.
-  void Abort();
-
- private:
-  friend class QuerySession;
-  explicit UpdateBatch(DynamicQueryEngine* engine) : engine_(engine) {}
-
-  void Stage(UpdateCmd cmd);
-  static Tuple KeyOf(const UpdateCmd& cmd) {
-    Tuple key = cmd.tuple;
-    key.push_back(static_cast<Value>(cmd.rel));
-    return key;
-  }
-
-  struct Staged {
-    UpdateCmd cmd;
-    bool live = true;
-  };
-
-  DynamicQueryEngine* engine_;
-  std::vector<Staged> staged_;  // staging order preserved for Commit
-  OpenHashMap<Tuple, std::uint32_t, TupleHash> index_;  // key -> staged_ idx
-  std::size_t live_ = 0;
-  std::size_t annihilated_ = 0;
-  std::size_t deduped_ = 0;
-};
-
 /// A live query session: owns the engine the dichotomy selected for the
 /// query (q-tree, q-tree on the core, or delta-IVM — construction never
 /// fails for a valid CQ) and exposes the four paper routines plus
-/// partitioned enumeration and staged batches.
+/// partitioned enumeration and ordered batches.
 ///
 /// Ownership note: a session's engine owns a PRIVATE Database — the
 /// session is the sole writer and `db()` reflects exactly the updates
@@ -139,15 +65,15 @@ class QuerySession {
 
   // ---- updates ----
   bool Apply(const UpdateCmd& cmd) { return engine_->Apply(cmd); }
-  /// Ordered replay of `cmds` through the engine's batch pipeline.
+  /// Ordered replay of `cmds` through the engine's batch pipeline (see
+  /// DynamicQueryEngine::ApplyBatch): returns the number of effective
+  /// commands after the fold drops superseded ones.
   std::size_t ApplyBatch(std::span<const UpdateCmd> cmds) {
     return engine_->ApplyBatch(cmds);
   }
   std::size_t ApplyAll(const UpdateStream& stream) {
     return engine_->ApplyAll(stream);
   }
-  /// Staged builder with the net-delta pre-pass (see UpdateBatch).
-  UpdateBatch NewBatch() { return UpdateBatch(engine_.get()); }
 
   // ---- reads ----
   Revision revision() const { return engine_->revision(); }

@@ -1,6 +1,8 @@
 #include "storage/database.h"
 
 #include "util/check.h"
+#include "util/hash.h"
+#include "util/open_hash_map.h"
 
 namespace dyncq {
 
@@ -49,22 +51,14 @@ std::size_t Database::ApplyAll(const UpdateStream& stream) {
 void Database::Reserve(RelId rel, std::size_t n) {
   Relation& r = relation(rel);
   r.Reserve(r.size() + n);
-  // Each inserted tuple contributes arity() candidate constants to the
-  // active domain.
-  util::MutexLock lock(&adom_->mu);
-  adom_->counts.Reserve(adom_->counts.size() + n * r.arity());
 }
 
 bool Database::Insert(RelId rel, const Tuple& t) {
-  if (!relation(rel).Insert(t)) return false;
-  adom_->stale.store(true, std::memory_order_relaxed);
-  return true;
+  return relation(rel).Insert(t);
 }
 
 bool Database::Delete(RelId rel, const Tuple& t) {
-  if (!relation(rel).Erase(t)) return false;
-  adom_->stale.store(true, std::memory_order_relaxed);
-  return true;
+  return relation(rel).Erase(t);
 }
 
 std::size_t Database::NumTuples() const {
@@ -83,40 +77,16 @@ std::size_t Database::SizeD() const {
 
 void Database::Clear() {
   for (Relation& r : relations_) r.Clear();
-  util::MutexLock lock(&adom_->mu);
-  adom_->counts.Clear();
-  adom_->stale.store(false, std::memory_order_relaxed);
 }
 
 std::size_t Database::ActiveDomainSize() const {
-  // The lock covers both the rebuild and the read: dropping it between
-  // the two would let a concurrent reader's rebuild (after a writer
-  // re-staled the counts) rehash the map under this reader's feet.
-  util::MutexLock lock(&adom_->mu);
-  EnsureAdomLocked();
-  return adom_->counts.size();
-}
-
-bool Database::InActiveDomain(Value v) const {
-  util::MutexLock lock(&adom_->mu);
-  EnsureAdomLocked();
-  return adom_->counts.Contains(v);
-}
-
-void Database::EnsureAdomLocked() const {
-  // Two reader threads may both find the counts stale (e.g. two engines
-  // sharing this database each sizing a bulk load from |adom|); without
-  // the lock both would rebuild the map concurrently — a data race in a
-  // const method. Writers don't take the lock: updates are externally
-  // synchronized against reads and only set the relaxed stale flag.
-  if (!adom_->stale.load(std::memory_order_relaxed)) return;
-  adom_->counts.Clear();
+  OpenHashSet<Value, U64Hash> adom;
   for (const Relation& r : relations_) {
     for (const Tuple& t : r) {
-      for (Value v : t) ++adom_->counts.FindOrInsert(v);
+      for (Value v : t) adom.Insert(v);
     }
   }
-  adom_->stale.store(false, std::memory_order_relaxed);
+  return adom.size();
 }
 
 std::string Database::ToString() const {

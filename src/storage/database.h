@@ -1,21 +1,15 @@
-// A relational database instance over a fixed schema, with active-domain
-// tracking and single-tuple updates (paper §2).
+// A relational database instance over a fixed schema with single-tuple
+// updates (paper §2).
 #ifndef DYNCQ_STORAGE_DATABASE_H_
 #define DYNCQ_STORAGE_DATABASE_H_
 
-#include <atomic>
 #include <cstddef>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "cq/schema.h"
 #include "storage/relation.h"
 #include "storage/update.h"
-#include "util/hash.h"
-#include "util/mutex.h"
-#include "util/open_hash_map.h"
-#include "util/thread_annotations.h"
 
 namespace dyncq {
 
@@ -34,13 +28,12 @@ class Database {
 
 
   /// Applies a whole stream; returns the number of effective updates.
-  /// Bulk-load path: pre-sizes the relations and the active-domain map
-  /// from the stream's composition so the replay never rehashes (paper
-  /// §6.4 linear-time preprocessing).
+  /// Bulk-load path: pre-sizes the relations from the stream's
+  /// composition so the replay never rehashes (paper §6.4 linear-time
+  /// preprocessing).
   std::size_t ApplyAll(const UpdateStream& stream);
 
-  /// Pre-sizes relation `rel` (and the active-domain map) for `n` more
-  /// tuples.
+  /// Pre-sizes relation `rel` for `n` more tuples.
   void Reserve(RelId rel, std::size_t n);
 
   /// Hints the lines `cmd` will probe into cache (the relation's
@@ -67,51 +60,18 @@ class Database {
   }
 
   /// n = |adom(D)|: number of distinct constants in the database.
-  /// Maintained lazily: updates only mark the cached reference counts
-  /// stale (keeping per-update hash work off the streaming hot path) and
-  /// the first adom query after a change rebuilds them in O(||D||).
-  /// Safe for concurrent READERS (rebuild and read both run under the
-  /// adom mutex; see EnsureAdomLocked) — multiple engines sharing one
-  /// database may size their preprocessing from |adom| at once. Writes
-  /// still require the usual external synchronization against reads.
+  /// Counted from scratch in O(||D||) on every call: the update path
+  /// never reads the active domain (it appears only in the size measure
+  /// ||D||), so no cached state is maintained for it.
   std::size_t ActiveDomainSize() const;
-
-  /// True if `v` occurs somewhere in the database.
-  bool InActiveDomain(Value v) const;
 
   void Clear();
 
   std::string ToString() const;
 
  private:
-  // Active-domain reference counts (value -> number of tuple positions
-  // holding it), rebuilt on demand — see ActiveDomainSize. The mutex
-  // serializes the const-method lazy rebuild between concurrent readers
-  // AND covers every read of the rebuilt map: the annotation sweep
-  // caught the previous shape (rebuild locked, the .size()/.Contains()
-  // read after it unlocked) as a read outside the capability. The whole
-  // state lives in one heap-held struct so Database stays movable and
-  // the GUARDED_BY names a member of the same struct (moves are
-  // externally synchronized like writes).
-  struct AdomState {
-    util::Mutex mu;
-    OpenHashMap<Value, std::uint64_t, U64Hash> counts DYNCQ_GUARDED_BY(mu);
-    // Write-path gate, deliberately NOT guarded: Insert/Delete are the
-    // engine's per-update hot path (E5-gated at tens of ns) and must not
-    // take a mutex — they flip this flag with a relaxed store. Writers
-    // are externally synchronized against adom readers, so the only
-    // concurrency on the flag is reader-vs-reader under `mu`, where
-    // relaxed loads suffice.
-    std::atomic<bool> stale{false};
-  };
-
-  /// Rebuilds `adom_->counts` if stale. Callers keep holding the lock
-  /// across their subsequent read of the map.
-  void EnsureAdomLocked() const DYNCQ_REQUIRES(adom_->mu);
-
   const Schema& schema_;
   std::vector<Relation> relations_;
-  std::unique_ptr<AdomState> adom_ = std::make_unique<AdomState>();
 };
 
 }  // namespace dyncq

@@ -108,9 +108,8 @@ class Relation {
 
   /// Number of hash probes charged to database-changing operations
   /// (effective Insert/Erase). Batch pipelines use the delta of this
-  /// counter to prove work was avoided (e.g. the UpdateBatch net-delta
-  /// pre-pass cancelling inverse pairs before any probe, or the ordered
-  /// ApplyBatch fold dropping superseded commands). No-op commands —
+  /// counter to prove work was avoided (e.g. the ordered ApplyBatch fold
+  /// dropping superseded commands before any probe). No-op commands —
   /// re-inserting a present tuple, deleting an absent one, exactly what
   /// StreamOptions.noop_ratio generates — short-circuit before a probe
   /// is charged, as do read-only Contains lookups, so deliberate no-ops

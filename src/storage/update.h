@@ -41,11 +41,9 @@ using UpdateStream = std::vector<UpdateCmd>;
 /// pre-batch database state. An ordered replay may therefore drop every
 /// superseded command: an inverse insert/delete pair with no later
 /// command on its tuple collapses to its second half, and the dropped
-/// half costs zero relation probes. Note that dropping BOTH halves would
-/// be wrong under replay semantics ("insert t; delete t" must leave t
-/// absent even when t was resident before the batch); the unordered
-/// intention semantics that full annihilation implies is UpdateBatch's
-/// contract (core/session.h), not ApplyBatch's.
+/// half costs zero relation probes. Dropping BOTH halves would be wrong
+/// under replay semantics: "insert t; delete t" must leave t absent even
+/// when t was resident before the batch.
 ///
 /// The key table holds command indices, not keys: a slot names the last
 /// command seen on its key, and a probe compares against that command's

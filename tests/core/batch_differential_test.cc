@@ -152,9 +152,8 @@ TEST(OrderedBatchFoldTest, InBatchInversePairsCostZeroProbes) {
 }
 
 TEST(OrderedBatchFoldTest, FoldKeepsOrderedReplaySemantics) {
-  // Unlike UpdateBatch's unordered-intention annihilation, the ordered
-  // fold keeps the pair's FINAL command: "insert t; delete t" on a
-  // resident t must still delete t.
+  // The ordered fold keeps the pair's FINAL command: "insert t; delete
+  // t" on a resident t must still delete t.
   Query q = MustParse("Q(x) :- R(x).");
   auto e = core::Engine::Create(q);
   ASSERT_TRUE(e.ok());

@@ -200,6 +200,44 @@ TEST(EngineTest, PreprocessingFromInitialDatabase) {
   EXPECT_TRUE(SameTupleSet(MaterializeResult(**e), {{1, 2}, {3, 2}}));
 }
 
+TEST(EngineTest, PreloadAndSharedSyncAgree) {
+  // The two preprocessing entry points: Create(q, d0) replays d0 through
+  // the batch pipeline (Preload), CreateShared(q, &d0) builds from the
+  // resident storage (SyncFromStorage). Both size the root indexes with
+  // the same helper and must build equivalent structures.
+  for (const char* text : {"Q(x, u, v, w) :- R(x, u), S(x, v), T(x, w).",
+                           "Q(x, y, z) :- R(x), S(x, y), T(x, y, z)."}) {
+    SCOPED_TRACE(text);
+    Query q = MustParse(text);
+    Database d0(q.schema());
+    Rng rng(5);
+    for (int i = 0; i < 400; ++i) {
+      const RelId rel = static_cast<RelId>(rng.Below(3));
+      Tuple t;
+      for (std::size_t k = 0; k < q.schema().arity(rel); ++k) {
+        t.push_back(rng.Range(1, 6));
+      }
+      d0.Insert(rel, t);
+    }
+    auto preloaded = core::Engine::Create(q, d0);
+    auto synced = core::Engine::CreateShared(q, &d0);
+    ASSERT_TRUE(preloaded.ok()) << preloaded.error();
+    ASSERT_TRUE(synced.ok()) << synced.error();
+    core::Engine& a = **preloaded;
+    core::Engine& b = **synced;
+    EXPECT_GT(a.Count(), Weight{0});
+    EXPECT_EQ(a.Count(), b.Count());
+    const std::vector<Tuple> result = MaterializeResult(a);
+    EXPECT_TRUE(SameTupleSet(result, MaterializeResult(b)));
+    EXPECT_TRUE(SameTupleSet(result, baseline::Evaluate(d0, q)));
+    for (core::Engine* e : {&a, &b}) {
+      for (std::size_t c = 0; c < e->NumComponents(); ++c) {
+        e->component(c).CheckInvariants();
+      }
+    }
+  }
+}
+
 TEST(EngineTest, EmptyEnumerationEmitsEOEImmediately) {
   Query q = MustParse("Q(x, y) :- E(x, y), T(y).");
   auto e = MakeEngine(q);

@@ -1,11 +1,11 @@
 // QuerySession facade: strategy/capability reporting, status-returning
-// cursors, the UpdateBatch net-delta pre-pass (including the zero-probe
-// guarantee for fully-cancelling batches), and MaterializeResult.
+// cursors, ordered batch replay on q-tree and fallback sessions, and
+// MaterializeResult.
 #include "core/session.h"
 
 #include <gtest/gtest.h>
 
-#include <map>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -87,135 +87,59 @@ TEST(QuerySessionTest, PartitionsRejectZero) {
 }
 
 // ---------------------------------------------------------------------------
-// UpdateBatch: net-delta pre-pass.
+// ApplyBatch: ordered replay.
 // ---------------------------------------------------------------------------
 
-TEST(UpdateBatchTest, NetDeltaPrePassCancelsInversePairsWithZeroProbes) {
-  // Satellite contract: a batch of N inserts followed by the same N
-  // deletes performs ZERO Relation probes beyond the builder's own
-  // staging table — the annihilation happens before the engine or the
-  // database ever see a command.
-  Query q = MustParse("Q(x, y) :- R(x, y), S(x, z).");
-  QuerySession session(q);
-  session.Apply(UpdateCmd::Insert(0, {500, 501}));  // some resident state
-  session.Apply(UpdateCmd::Insert(1, {500, 502}));
-
-  const std::uint64_t probes_before = session.db().TotalRelationProbes();
-  const Revision rev_before = session.revision();
-
-  constexpr Value kN = 256;
-  UpdateBatch batch = session.NewBatch();
-  for (Value v = 1; v <= kN; ++v) {
-    batch.Insert(0, {v, v + 1});
-    batch.Insert(1, {v, v + 2});
-  }
-  for (Value v = 1; v <= kN; ++v) {
-    batch.Delete(0, {v, v + 1});
-    batch.Delete(1, {v, v + 2});
-  }
-  EXPECT_EQ(batch.pending(), 0u);
-  EXPECT_EQ(batch.annihilated(), 2u * kN);
-  EXPECT_EQ(batch.Commit(), 0u);
-
-  EXPECT_EQ(session.db().TotalRelationProbes(), probes_before);
-  EXPECT_EQ(session.revision(), rev_before);  // nothing reached the engine
-  EXPECT_EQ(session.Count(), Weight{1});      // resident state untouched
-}
-
-TEST(UpdateBatchTest, DedupsSameDirectionCommands) {
-  QuerySession session(MustParse("Q(x) :- R(x)."));
-  UpdateBatch batch = session.NewBatch();
-  batch.Insert(0, {7}).Insert(0, {7}).Insert(0, {8});
-  EXPECT_EQ(batch.pending(), 2u);
-  EXPECT_EQ(batch.deduped(), 1u);
-  EXPECT_EQ(batch.Commit(), 2u);
-  EXPECT_EQ(session.Count(), Weight{2});
-}
-
-TEST(UpdateBatchTest, CancelThenRestageApplies) {
-  // I, D cancel; a third I of the same tuple starts fresh and commits.
-  QuerySession session(MustParse("Q(x) :- R(x)."));
-  UpdateBatch batch = session.NewBatch();
-  batch.Insert(0, {5}).Delete(0, {5}).Insert(0, {5});
-  EXPECT_EQ(batch.pending(), 1u);
-  EXPECT_EQ(batch.annihilated(), 1u);
-  EXPECT_EQ(batch.Commit(), 1u);
-  EXPECT_TRUE(session.Answer());
-}
-
-TEST(UpdateBatchTest, NetDeltaSemanticsAreUnorderedIntentions) {
-  // Documented difference from sequential replay: with t resident, a
-  // staged insert+delete pair annihilates and leaves t alone (replay
-  // would delete it).
-  QuerySession session(MustParse("Q(x) :- R(x)."));
-  session.Apply(UpdateCmd::Insert(0, {9}));
-  UpdateBatch batch = session.NewBatch();
-  batch.Insert(0, {9}).Delete(0, {9});
-  EXPECT_EQ(batch.Commit(), 0u);
-  EXPECT_TRUE(session.Answer());  // 9 still present
-
-  // A lone delete in a batch still deletes.
-  UpdateBatch batch2 = session.NewBatch();
-  batch2.Delete(0, {9});
-  EXPECT_EQ(batch2.Commit(), 1u);
-  EXPECT_FALSE(session.Answer());
-}
-
-TEST(UpdateBatchTest, AbortDropsEverything) {
-  QuerySession session(MustParse("Q(x) :- R(x)."));
-  UpdateBatch batch = session.NewBatch();
-  batch.Insert(0, {1}).Insert(0, {2});
-  batch.Abort();
-  EXPECT_EQ(batch.pending(), 0u);
-  EXPECT_EQ(batch.Commit(), 0u);
-  EXPECT_FALSE(session.Answer());
-}
-
-TEST(UpdateBatchTest, RandomizedNetDeltaMatchesShadowSemantics) {
-  // Differential: committing a random batch must equal applying its net
-  // delta (inverse pairs removed, same-direction duplicates collapsed)
-  // to a shadow database.
-  Query q = MustParse("Q(x, y) :- E(x, y), T(y).");
-  QuerySession session(q);
+// Commits random batches through QuerySession::ApplyBatch and checks each
+// against a shadow database that replays the batch command by command:
+// same result set, and the returned effective count is the number of
+// tuples whose presence the batch changed (the fold keeps one command per
+// tuple, which changes the database iff the tuple's final presence
+// differs from its pre-batch one).
+void ExpectOrderedReplayMatchesShadow(QuerySession& session) {
+  const Query& q = session.query();
+  std::set<std::pair<RelId, Tuple>> shadow;
   Rng rng(77);
   for (int round = 0; round < 30; ++round) {
-    UpdateBatch batch = session.NewBatch();
-    Database shadow(q.schema());
-    for (RelId r = 0; r < q.schema().NumRelations(); ++r) {
-      for (const Tuple& t : session.db().relation(r)) shadow.Insert(r, t);
-    }
-    // Track net intentions per key to drive the shadow.
-    std::map<std::pair<RelId, std::vector<Value>>, int> net;
+    const std::set<std::pair<RelId, Tuple>> before = shadow;
+    UpdateStream batch;
     for (int i = 0; i < 60; ++i) {
       RelId rel = static_cast<RelId>(rng.Below(2));
       Tuple t = rel == 0 ? Tuple{rng.Range(1, 5), rng.Range(1, 5)}
                          : Tuple{rng.Range(1, 5)};
-      bool ins = rng.Chance(0.5);
-      auto key = std::make_pair(rel,
-                                std::vector<Value>(t.begin(), t.end()));
-      int& state = net[key];
-      const int want = ins ? 1 : -1;
-      if (state == 0) {
-        state = want;
-      } else if (state != want) {
-        state = 0;  // annihilated (same-direction restage = dedup)
-      }
-      if (ins) {
-        batch.Insert(rel, t);
+      if (rng.Chance(0.5)) {
+        shadow.emplace(rel, t);
+        batch.push_back(UpdateCmd::Insert(rel, std::move(t)));
       } else {
-        batch.Delete(rel, t);
+        shadow.erase({rel, t});
+        batch.push_back(UpdateCmd::Delete(rel, std::move(t)));
       }
     }
-    for (const auto& [key, state] : net) {
-      Tuple t(key.second.begin(), key.second.end());
-      if (state == 1) shadow.Insert(key.first, t);
-      if (state == -1) shadow.Delete(key.first, t);
-    }
-    batch.Commit();
-    auto expected = baseline::Evaluate(shadow, q);
+    std::size_t changed = 0;
+    for (const auto& key : shadow) changed += before.count(key) == 0;
+    for (const auto& key : before) changed += shadow.count(key) == 0;
+    EXPECT_EQ(session.ApplyBatch(batch), changed) << "round " << round;
+
+    Database expected_db(q.schema());
+    for (const auto& [rel, t] : shadow) expected_db.Insert(rel, t);
+    auto expected = baseline::Evaluate(expected_db, q);
     ASSERT_TRUE(SameTupleSet(MaterializeResult(session.engine()), expected))
         << "round " << round;
   }
+}
+
+TEST(ApplyBatchTest, RandomizedOrderedReplayMatchesShadowOnQTree) {
+  QuerySession session(testing::paper::PhiETJoin());
+  ASSERT_EQ(session.strategy(), core::EngineStrategy::kQTree);
+  ExpectOrderedReplayMatchesShadow(session);
+}
+
+TEST(ApplyBatchTest, RandomizedOrderedReplayMatchesShadowOnFallback) {
+  // ϕ_{E-T} is not q-hierarchical: the session lands on delta-IVM,
+  // whose ApplyBatch is the base-class fold.
+  QuerySession session(testing::paper::PhiET());
+  ASSERT_EQ(session.strategy(), core::EngineStrategy::kDeltaIvm);
+  ExpectOrderedReplayMatchesShadow(session);
 }
 
 TEST(MaterializeResultTest, ReservesFromCountAndDrainsFully) {
